@@ -1,12 +1,14 @@
 // Ablation: crypto primitive choices behind the data-plane numbers.
 //
-// (a) AES-NI vs. portable AES — quantifies how much of the Mpps headroom
-//     comes from hardware AES (the paper's "native hardware-accelerated
-//     instructions", §7.1);
+// (a) AES-NI vs. portable AES, for block encryption and key expansion —
+//     quantifies how much of the Mpps headroom comes from hardware AES
+//     (the paper's "native hardware-accelerated instructions", §7.1);
 // (b) CBC-MAC (paper's choice) vs. CMAC (subkey masking) on the actual
 //     HVF input sizes;
 // (c) the full per-packet crypto budgets of the gateway (Eq. 6 only,
-//     h = 4 hops) and the border router (Eq. 4 + Eq. 6).
+//     h = 4 hops) and the border router (Eq. 4 + Eq. 6);
+// (d) EAX sealing and opening of one hop authenticator (Eq. 5) on a
+//     context built once per key vs. one built per message.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -14,6 +16,7 @@
 #include "colibri/common/rand.hpp"
 #include "colibri/crypto/cbcmac.hpp"
 #include "colibri/crypto/cmac.hpp"
+#include "colibri/crypto/eax.hpp"
 #include "colibri/dataplane/hvf.hpp"
 
 namespace {
@@ -41,8 +44,10 @@ void BM_AesBlock(benchmark::State& state) {
 BENCHMARK(BM_AesBlock)->Arg(0)->Arg(1);
 
 void BM_AesKeyExpansion(benchmark::State& state) {
-  // The router/gateway expand σ_i's schedule per packet per hop; this is
-  // the non-AES-NI part of the per-packet budget.
+  // The router/gateway expand σ_i's schedule per packet per hop, and each
+  // on-path CServ expands one K_{AS_i->src} per EER request.
+  const bool portable = state.range(0) != 0;
+  Aes128::set_force_portable(portable);
   std::uint8_t key[16];
   Rng rng(2);
   rng.fill(key, 16);
@@ -52,10 +57,12 @@ void BM_AesKeyExpansion(benchmark::State& state) {
     benchmark::DoNotOptimize(aes.round_keys()[0]);
     ++key[0];
   }
+  Aes128::set_force_portable(false);
+  state.SetLabel(portable ? "portable" : "aesni-if-available");
   state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK(BM_AesKeyExpansion);
+BENCHMARK(BM_AesKeyExpansion)->Arg(0)->Arg(1);
 
 template <size_t N>
 void mac_input(Rng& rng, std::uint8_t (&buf)[N]) {
@@ -157,6 +164,55 @@ void BM_RouterCryptoBudget(benchmark::State& state) {
 }
 
 BENCHMARK(BM_RouterCryptoBudget);
+
+// Eq. 5 as the CServ runs it: a 16-byte σ_i under a 16-byte nonce and the
+// 22-byte ResInfo AAD. Arg 0 reuses one context per key (the cached
+// DRKey contexts); Arg 1 builds one per message.
+struct EaxFixture {
+  std::uint8_t key[16];
+  Bytes nonce = Bytes(16);
+  Bytes aad = Bytes(22);
+  Bytes sigma = Bytes(16);
+
+  EaxFixture() {
+    Rng rng(8);
+    rng.fill(key, sizeof(key));
+    rng.fill(nonce.data(), nonce.size());
+    rng.fill(aad.data(), aad.size());
+    rng.fill(sigma.data(), sigma.size());
+  }
+};
+
+void BM_EaxSeal(benchmark::State& state) {
+  const bool rekey = state.range(0) != 0;
+  const EaxFixture f;
+  const crypto::Eax cached(f.key);
+  for (auto _ : state) {
+    const Bytes sealed = rekey ? crypto::Eax(f.key).seal(f.nonce, f.aad, f.sigma)
+                               : cached.seal(f.nonce, f.aad, f.sigma);
+    benchmark::DoNotOptimize(sealed.data());
+  }
+  state.SetLabel(rekey ? "context-per-message" : "cached-context");
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_EaxSeal)->Arg(0)->Arg(1);
+
+void BM_EaxOpen(benchmark::State& state) {
+  const bool rekey = state.range(0) != 0;
+  const EaxFixture f;
+  const crypto::Eax cached(f.key);
+  const Bytes sealed = cached.seal(f.nonce, f.aad, f.sigma);
+  for (auto _ : state) {
+    const auto opened = rekey ? crypto::Eax(f.key).open(f.aad, sealed)
+                              : cached.open(f.aad, sealed);
+    benchmark::DoNotOptimize(opened.has_value());
+  }
+  state.SetLabel(rekey ? "context-per-message" : "cached-context");
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_EaxOpen)->Arg(0)->Arg(1);
 
 }  // namespace
 

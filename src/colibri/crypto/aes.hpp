@@ -5,12 +5,29 @@
 // runtime via CPUID). The data plane computes 1-2 AES-CMACs per packet
 // (paper §4.5-4.6), so single-block encryption latency dominates the
 // forwarding benchmarks (Figs. 5-6).
+//
+// There is one key-schedule type, AesSchedule, and one expansion entry
+// point, AesSchedule::expand. Aes128 wraps one schedule together with the
+// backend chosen when its key was set, so block operations never re-check
+// the CPU.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace colibri::crypto {
+
+// An expanded AES-128 encryption schedule: 11 round keys of 16 bytes.
+// expand() uses AESKEYGENASSIST when the CPU has AES-NI and the portable
+// expansion otherwise; both produce the same bytes.
+//
+// No default member initializers: the batched router and gateway declare
+// a stack array of schedules per batch and expand each one before use.
+struct AesSchedule {
+  alignas(16) std::uint8_t rk[176];
+
+  void expand(const std::uint8_t key[16]);
+};
 
 class Aes128 {
  public:
@@ -21,9 +38,13 @@ class Aes128 {
   Aes128() = default;
   explicit Aes128(const std::uint8_t key[kKeySize]) { set_key(key); }
 
+  // Expands the schedule and fixes the backend every block operation
+  // under this key uses.
   void set_key(const std::uint8_t key[kKeySize]);
 
   // Single-block ECB encryption/decryption. in and out may alias.
+  // Decryption is portable only and walks the encryption schedule
+  // backwards.
   void encrypt_block(const std::uint8_t in[kBlockSize],
                      std::uint8_t out[kBlockSize]) const;
   void decrypt_block(const std::uint8_t in[kBlockSize],
@@ -37,27 +58,25 @@ class Aes128 {
                       std::size_t n_blocks) const;
 
   // Expanded encryption round keys, 11 x 16 bytes, little-endian order.
-  const std::uint8_t* round_keys() const { return enc_rk_; }
+  const std::uint8_t* round_keys() const { return sched_.rk; }
 
-  // True if the AES-NI fast path is compiled in and supported by the CPU.
+  // True if the AES-NI fast path is compiled in, supported by the CPU and
+  // not forced off.
   static bool has_aesni();
 
-  // Force the portable path (for tests and the crypto ablation bench).
+  // Force the portable path for keys set and schedules expanded from now
+  // on (for tests and the crypto ablation bench). Ciphers keyed earlier
+  // keep their backend.
   static void set_force_portable(bool force);
 
  private:
-  void encrypt_block_portable(const std::uint8_t in[kBlockSize],
-                              std::uint8_t out[kBlockSize]) const;
-  void decrypt_block_portable(const std::uint8_t in[kBlockSize],
-                              std::uint8_t out[kBlockSize]) const;
-
-  alignas(16) std::uint8_t enc_rk_[16 * (kRounds + 1)] = {};
-  alignas(16) std::uint8_t dec_rk_[16 * (kRounds + 1)] = {};
+  AesSchedule sched_{};
+  bool aesni_ = false;
 };
 
 // Portable reference primitives operating on a raw round-key schedule.
-// Aes128 delegates here; the multi-lane batch helpers (cmac_multi.hpp)
-// use them as the fallback when AES-NI is unavailable.
+// AesSchedule and Aes128 fall back to these when AES-NI is unavailable;
+// the tests use them as the reference for the AES-NI backend.
 namespace portable {
 void expand_key(const std::uint8_t key[16], std::uint8_t rk[176]);
 void encrypt_block(const std::uint8_t rk[176], const std::uint8_t in[16],

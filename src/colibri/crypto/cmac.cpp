@@ -26,7 +26,15 @@ void Cmac::set_key(const std::uint8_t key[Aes128::kKeySize]) {
 
 void Cmac::compute(const std::uint8_t* msg, size_t len,
                    std::uint8_t tag[kTagSize]) const {
-  std::uint8_t x[16] = {};
+  static constexpr std::uint8_t kNoPrefix[kTagSize] = {};
+  compute_after(kNoPrefix, msg, len, tag);
+}
+
+void Cmac::compute_after(const std::uint8_t state[kTagSize],
+                         const std::uint8_t* msg, size_t len,
+                         std::uint8_t tag[kTagSize]) const {
+  std::uint8_t x[16];
+  std::memcpy(x, state, 16);
   const size_t full_blocks = (len == 0) ? 0 : (len - 1) / 16;
 
   for (size_t b = 0; b < full_blocks; ++b) {
@@ -43,7 +51,8 @@ void Cmac::compute(const std::uint8_t* msg, size_t len,
     }
   } else {
     std::memset(last, 0, 16);
-    std::memcpy(last, msg + 16 * full_blocks, tail);
+    // msg may be null when len is 0.
+    if (tail > 0) std::memcpy(last, msg + 16 * full_blocks, tail);
     last[tail] = 0x80;
     for (int i = 0; i < 16; ++i) last[i] ^= k2_[i];
   }

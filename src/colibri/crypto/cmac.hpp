@@ -31,6 +31,14 @@ class Cmac {
     compute(msg.data(), msg.size(), tag);
   }
 
+  // MAC over P || msg, where P is a run of whole blocks already put
+  // through the CBC chain and `state` is the chaining value after it (all
+  // zero for an empty P). A non-empty P needs a non-empty msg, because the
+  // final, subkey-masked block must come from msg.
+  void compute_after(const std::uint8_t state[kTagSize],
+                     const std::uint8_t* msg, size_t len,
+                     std::uint8_t tag[kTagSize]) const;
+
   // Constant-time comparison of the first `n` tag bytes.
   static bool verify_prefix(const std::uint8_t* expected,
                             const std::uint8_t* actual, size_t n);

@@ -4,16 +4,6 @@
 
 namespace colibri::crypto {
 
-void AesSchedule::expand(const std::uint8_t key[16]) {
-#if defined(COLIBRI_HAVE_AESNI)
-  if (Aes128::has_aesni()) {
-    aesni::expand_key(key, rk);
-    return;
-  }
-#endif
-  portable::expand_key(key, rk);
-}
-
 void aes128_encrypt_each(const AesSchedule* scheds, std::size_t n,
                          const std::uint8_t* in, std::uint8_t* out) {
 #if defined(COLIBRI_HAVE_AESNI)

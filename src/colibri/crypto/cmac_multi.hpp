@@ -4,8 +4,9 @@
 // AES-NI hardware leaves the aesenc pipeline mostly idle: a single chain
 // is latency-bound. These helpers keep many independent MAC states in
 // flight — same-key lanes ride Aes128::encrypt_blocks (4-wide interleave),
-// per-lane-key batches go through aes128_encrypt_each — so the batched
-// pipeline amortizes both the cipher latency and the key expansion.
+// per-lane-key batches expand an AesSchedule (aes.hpp) per lane and go
+// through aes128_encrypt_each — so the batched pipeline amortizes both the
+// cipher latency and the key expansion.
 //
 // Verdict parity matters more than speed here: every function is defined
 // to produce byte-identical output to its scalar counterpart in hvf.hpp
@@ -18,17 +19,6 @@
 #include "colibri/crypto/aes.hpp"
 
 namespace colibri::crypto {
-
-// An expanded AES-128 encryption schedule without the Aes128 class
-// overhead (no decryption schedule, no virtual anything). `expand()`
-// uses AESKEYGENASSIST when available — roughly an order of magnitude
-// faster than the portable expansion, which matters because the batched
-// router expands one schedule per packet (Eq. 6 keys are per-hop σ_i).
-struct AesSchedule {
-  alignas(16) std::uint8_t rk[176];
-
-  void expand(const std::uint8_t key[16]);
-};
 
 // Encrypt n independent (schedule, block) pairs: out[i] = E_{scheds[i]}(in[i]).
 // Blocks are 16 bytes each, packed contiguously. Interleaved 4-wide on AES-NI.

@@ -1,6 +1,6 @@
 #include "colibri/crypto/eax.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "colibri/crypto/ctr.hpp"
 
@@ -8,13 +8,20 @@ namespace colibri::crypto {
 
 void Eax::set_key(const std::uint8_t key[Aes128::kKeySize]) {
   cmac_.set_key(key);
+  std::uint8_t tweaks[3][16] = {};
+  for (std::uint8_t t = 0; t < 3; ++t) tweaks[t][15] = t;
+  cmac_.cipher().encrypt_blocks(tweaks[0], tweak_state_[0], 3);
 }
 
 void Eax::omac(std::uint8_t tweak, BytesView msg, std::uint8_t out[16]) const {
-  Bytes buf(16, 0);
-  buf[15] = tweak;
-  append_bytes(buf, msg);
-  cmac_.compute(buf, out);
+  if (msg.empty()) {
+    // The tweak block is the whole input, so it is CMAC's final block.
+    std::uint8_t block[16] = {};
+    block[15] = tweak;
+    cmac_.compute(block, sizeof(block), out);
+    return;
+  }
+  cmac_.compute_after(tweak_state_[tweak], msg.data(), msg.size(), out);
 }
 
 Bytes Eax::seal(BytesView nonce, BytesView aad, BytesView plaintext) const {
@@ -22,13 +29,14 @@ Bytes Eax::seal(BytesView nonce, BytesView aad, BytesView plaintext) const {
   omac(0, nonce, n);
   omac(1, aad, h);
 
-  Bytes out(nonce.begin(), nonce.end());
-  const size_t ct_off = out.size();
-  append_bytes(out, plaintext);
-  ctr_xcrypt(cmac_.cipher(), n, out.data() + ct_off, plaintext.size());
+  Bytes out(nonce.size() + plaintext.size() + kTagSize);
+  std::uint8_t* ct = std::copy(nonce.begin(), nonce.end(), out.data());
+  std::copy(plaintext.begin(), plaintext.end(), ct);
+  ctr_xcrypt(cmac_.cipher(), n, ct, plaintext.size());
 
-  omac(2, BytesView(out.data() + ct_off, plaintext.size()), c);
-  for (int i = 0; i < 16; ++i) out.push_back(n[i] ^ h[i] ^ c[i]);
+  omac(2, BytesView(ct, plaintext.size()), c);
+  std::uint8_t* tag = ct + plaintext.size();
+  for (int i = 0; i < 16; ++i) tag[i] = n[i] ^ h[i] ^ c[i];
   return out;
 }
 

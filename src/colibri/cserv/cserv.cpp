@@ -36,6 +36,7 @@ CServ::CServ(const topology::Topology& topo, AsId local, MessageBus& bus,
       key_server_(drkey_engine_, pki.enroll(local)),
       key_cache_(local, pki),
       hop_key_(hop_key),
+      hop_cipher_(hop_key.bytes.data()),
       clock_(&clock),
       cfg_(cfg),
       db_(local, cfg.control_plane_shards),
@@ -61,6 +62,7 @@ CServ::CServ(const topology::Topology& topo, AsId local, MessageBus& bus,
   }
   admission_->set_interface_capacity(kNoInterface,
                                      cfg_.internal_capacity_kbps);
+  drkey_engine_.refresh(clock_->now_sec());
   bus_->attach(local, [this](BytesView wire) { return handle(wire); });
 }
 
@@ -130,14 +132,20 @@ proto::Packet CServ::make_response_packet(
   return out;
 }
 
-std::optional<drkey::Key128> CServ::fetch_remote_key(AsId remote) {
+const crypto::Eax* CServ::key_context(AsId remote) {
   const UnixSec now = clock_->now_sec();
-  if (remote == local_) return drkey_engine_.as_key(local_, now);
-  if (auto cached = key_cache_.lookup(remote, now)) return cached;
-  const Bytes resp = bus_->call(remote, wire::encode_key_fetch(local_, now));
-  auto kr = wire::decode_key_response(resp);
-  if (!kr || !key_cache_.insert(remote, *kr)) return std::nullopt;
-  return kr->key;
+  if (const crypto::Eax* cached = key_cache_.context(remote, now)) {
+    return cached;
+  }
+  std::optional<drkey::KeyResponse> kr;
+  if (remote == local_) {
+    kr = key_server_.fetch(local_, now);
+  } else {
+    kr = wire::decode_key_response(
+        bus_->call(remote, wire::encode_key_fetch(local_, now)));
+  }
+  if (!kr || !key_cache_.insert(remote, *kr)) return nullptr;
+  return key_cache_.context(remote, now);
 }
 
 Result<proto::AuthedPayload> CServ::build_authed(
@@ -150,11 +158,10 @@ Result<proto::AuthedPayload> CServ::build_authed(
   for (AsId as : ases) {
     // K_{AS_i→me}: slow side — fetched from AS_i's key server and cached
     // for the epoch (§2.3).
-    auto key = fetch_remote_key(as);
-    if (!key) return Errc::kAuthFailed;
-    crypto::Cmac cmac(key->bytes.data());
+    const crypto::Eax* ctx = key_context(as);
+    if (ctx == nullptr) return Errc::kAuthFailed;
     proto::Mac16 mac;
-    cmac.compute(input, mac.data());
+    ctx->cmac().compute(input, mac.data());
     ap.macs.push_back(mac);
   }
   return ap;
@@ -527,12 +534,11 @@ Result<ReservationResult> CServ::finish_eer_request(proto::Packet pkt,
   std::vector<dataplane::HopAuth> sigmas;
   sigmas.reserve(msg.ases.size());
   for (size_t i = 0; i < msg.ases.size(); ++i) {
-    auto key = fetch_remote_key(msg.ases[i]);
-    if (!key) return Errc::kAuthFailed;
-    crypto::Eax eax(key->bytes.data());
+    const crypto::Eax* ctx = key_context(msg.ases[i]);
+    if (ctx == nullptr) return Errc::kAuthFailed;
     const Bytes aad = wire::hopauth_aad(final_ri, static_cast<std::uint8_t>(i));
     if (i >= resp.sealed_hopauths.size()) return Errc::kInternal;
-    auto opened = eax.open(aad, resp.sealed_hopauths[i]);
+    auto opened = ctx->open(aad, resp.sealed_hopauths[i]);
     if (!opened || opened->size() != 16) return Errc::kAuthFailed;
     dataplane::HopAuth sigma;
     std::copy(opened->begin(), opened->end(), sigma.begin());
@@ -652,6 +658,7 @@ void CServ::tick() {
   });
   registry_.expire(now);
   key_cache_.expire(now);
+  drkey_engine_.refresh(now);
 }
 
 size_t CServ::restore_from_wal() {

@@ -212,9 +212,12 @@ class CServ : public telemetry::MetricsSource {
   proto::Packet make_response_packet(const proto::Packet& request,
                                      const proto::ControlResponse& resp) const;
 
-  // Fetches (and caches) K_{remote->local} for opening sealed HopAuths and
-  // for MACing requests toward remote verifiers.
-  std::optional<drkey::Key128> fetch_remote_key(AsId remote);
+  // The cached context of K_{remote->local} for the current epoch, for
+  // MACing requests toward remote verifiers and opening sealed HopAuths.
+  // A miss fetches the key from the remote's key server over the bus; the
+  // local AS's own key comes from the local key server. nullptr if the
+  // fetch fails. Valid until the next key_context() or tick().
+  const crypto::Eax* key_context(AsId remote);
 
   // Builds per-AS payload MACs for an outgoing request.
   Result<proto::AuthedPayload> build_authed(const proto::ControlMessage& msg,
@@ -238,6 +241,7 @@ class CServ : public telemetry::MetricsSource {
   drkey::KeyServer key_server_;
   drkey::KeyCache key_cache_;
   drkey::Key128 hop_key_;
+  crypto::Aes128 hop_cipher_;  // K_i schedule, expanded once
   const Clock* clock_;
   CservConfig cfg_;
 

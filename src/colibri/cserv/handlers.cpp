@@ -21,7 +21,9 @@ class Handlers {
   static Bytes respond(CServ& self, const proto::Packet& pkt,
                        const proto::ControlResponse& resp);
 
-  static bool verify_payload_mac(CServ& self, const proto::AuthedPayload& ap,
+  static drkey::Key128 source_key(CServ& self, const proto::ResInfo& ri);
+  static bool verify_payload_mac(const crypto::Cmac& src_mac,
+                                 const proto::AuthedPayload& ap,
                                  const proto::ResInfo& ri, std::uint8_t hop);
 
   static Bytes handle_seg(CServ& self, proto::Packet& pkt,
@@ -38,7 +40,8 @@ class Handlers {
   static Bytes forward_and_unwind_eer(CServ& self, proto::Packet& pkt,
                                       proto::AuthedPayload& ap,
                                       const proto::EerRequest& msg,
-                                      BwKbps my_grant);
+                                      BwKbps my_grant,
+                                      const crypto::Eax& src_ctx);
 
   static void store_segr(CServ& self, const proto::Packet& pkt,
                          const proto::SegRequest& msg, BwKbps final_bw,
@@ -133,18 +136,20 @@ Bytes Handlers::respond(CServ& self, const proto::Packet& pkt,
   return proto::encode_packet(self.make_response_packet(pkt, resp));
 }
 
-bool Handlers::verify_payload_mac(CServ& self, const proto::AuthedPayload& ap,
+drkey::Key128 Handlers::source_key(CServ& self, const proto::ResInfo& ri) {
+  // K_{me -> SrcAS}: derived on the fly from the local secret value, once
+  // per request — no per-source state, which is what makes request
+  // filtering DoC-resistant (§5.3).
+  return self.drkey_engine_.as_key(ri.src_as, self.clock_->now_sec());
+}
+
+bool Handlers::verify_payload_mac(const crypto::Cmac& src_mac,
+                                  const proto::AuthedPayload& ap,
                                   const proto::ResInfo& ri, std::uint8_t hop) {
   if (hop >= ap.macs.size()) return false;
-  // K_{me -> SrcAS}: derived on the fly from the local secret value — no
-  // per-source state, which is what makes request filtering DoC-resistant
-  // (§5.3).
-  const drkey::Key128 key =
-      self.drkey_engine_.as_key(ri.src_as, self.clock_->now_sec());
   const Bytes input = proto::auth_input(ap.message, ri);
-  crypto::Cmac cmac(key.bytes.data());
   std::uint8_t tag[crypto::Cmac::kTagSize];
-  cmac.compute(input, tag);
+  src_mac.compute(input, tag);
   return crypto::Cmac::verify_prefix(tag, ap.macs[hop].data(), sizeof(tag));
 }
 
@@ -179,7 +184,8 @@ Bytes Handlers::handle_seg(CServ& self, proto::Packet& pkt,
   self.metrics_.seg_requests.inc();
   const TimeNs now = self.clock_->now_ns();
 
-  if (!verify_payload_mac(self, ap, pkt.resinfo, hop)) {
+  const crypto::Cmac src_mac(source_key(self, pkt.resinfo).bytes.data());
+  if (!verify_payload_mac(src_mac, ap, pkt.resinfo, hop)) {
     self.metrics_.auth_failures.inc();
     return fail(self, pkt, Errc::kAuthFailed, hop);
   }
@@ -300,10 +306,10 @@ Bytes Handlers::forward_and_unwind_seg(CServ& self, proto::Packet& pkt,
 
   proto::ResInfo final_ri = pkt.resinfo;
   final_ri.bw_kbps = final_bw;
-  crypto::Aes128 hop_cipher(self.hop_key_.bytes.data());
   if (hop < resp->tokens.size()) {
     resp->tokens[hop] = dataplane::compute_seg_hvf(
-        hop_cipher, final_ri, pkt.path[hop].ingress, pkt.path[hop].egress);
+        self.hop_cipher_, final_ri, pkt.path[hop].ingress,
+        pkt.path[hop].egress);
   }
   self.metrics_.seg_granted.inc();
   if (self.cfg_.events != nullptr) {
@@ -371,7 +377,8 @@ Bytes Handlers::handle_seg_activation(CServ& self, proto::Packet& pkt,
   auto* msg = std::get_if<proto::SegActivation>(&ap.message);
   const std::uint8_t hop = pkt.current_hop;
   if (msg == nullptr) return fail(self, pkt, Errc::kMalformed, hop);
-  if (!verify_payload_mac(self, ap, pkt.resinfo, hop)) {
+  const crypto::Cmac src_mac(source_key(self, pkt.resinfo).bytes.data());
+  if (!verify_payload_mac(src_mac, ap, pkt.resinfo, hop)) {
     self.metrics_.auth_failures.inc();
     return fail(self, pkt, Errc::kAuthFailed, hop);
   }
@@ -454,7 +461,10 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
   const TimeNs now = self.clock_->now_ns();
   const UnixSec now_sec = self.clock_->now_sec();
 
-  if (!verify_payload_mac(self, ap, pkt.resinfo, hop)) {
+  // One context under K_{me -> SrcAS} checks the request's MAC here and
+  // seals this AS's hop authenticator on the way back.
+  const crypto::Eax src_ctx(source_key(self, pkt.resinfo).bytes.data());
+  if (!verify_payload_mac(src_ctx.cmac(), ap, pkt.resinfo, hop)) {
     self.metrics_.auth_failures.inc();
     return fail(self, pkt, Errc::kAuthFailed, hop);
   }
@@ -540,13 +550,15 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
   }();
   if (!admitted) return fail(self, pkt, admitted.error(), hop);
 
-  return forward_and_unwind_eer(self, pkt, ap, *msg, admitted.value());
+  return forward_and_unwind_eer(self, pkt, ap, *msg, admitted.value(),
+                                src_ctx);
 }
 
 Bytes Handlers::forward_and_unwind_eer(CServ& self, proto::Packet& pkt,
                                        proto::AuthedPayload& ap,
                                        const proto::EerRequest& msg,
-                                       BwKbps my_grant) {
+                                       BwKbps my_grant,
+                                       const crypto::Eax& src_ctx) {
   const std::uint8_t hop = pkt.current_hop;
   const bool last = hop + 1u >= msg.ases.size();
 
@@ -595,21 +607,17 @@ Bytes Handlers::forward_and_unwind_eer(CServ& self, proto::Packet& pkt,
   // parameters (Eq. 4) and seal it for the source AS (Eq. 5).
   proto::ResInfo final_ri = pkt.resinfo;
   final_ri.bw_kbps = final_bw;
-  crypto::Aes128 hop_cipher(self.hop_key_.bytes.data());
   const dataplane::HopAuth sigma = dataplane::compute_hopauth(
-      hop_cipher, final_ri, pkt.eerinfo, msg.path[hop].ingress,
+      self.hop_cipher_, final_ri, pkt.eerinfo, msg.path[hop].ingress,
       msg.path[hop].egress);
 
-  const drkey::Key128 seal_key =
-      self.drkey_engine_.as_key(pkt.resinfo.src_as, self.clock_->now_sec());
-  crypto::Eax eax(seal_key.bytes.data());
   std::uint8_t nonce[16];
   self.rng_.fill(nonce, sizeof(nonce));
   const Bytes aad = wire::hopauth_aad(final_ri, hop);
   if (hop < resp->sealed_hopauths.size()) {
     resp->sealed_hopauths[hop] =
-        eax.seal(BytesView(nonce, sizeof(nonce)), aad,
-                 BytesView(sigma.data(), sigma.size()));
+        src_ctx.seal(BytesView(nonce, sizeof(nonce)), aad,
+                     BytesView(sigma.data(), sigma.size()));
   }
   self.metrics_.eer_granted.inc();
   if (self.cfg_.events != nullptr) {

@@ -5,24 +5,31 @@
 namespace colibri::drkey {
 namespace {
 
-Key128 prf(const Key128& key, const std::uint8_t* msg, size_t len) {
-  crypto::Cmac cmac(key.bytes.data());
+Key128 prf(const crypto::Cmac& cmac, const std::uint8_t* msg, size_t len) {
   Key128 out;
-  std::uint8_t tag[crypto::Cmac::kTagSize];
-  cmac.compute(msg, len, tag);
-  std::memcpy(out.bytes.data(), tag, 16);
+  cmac.compute(msg, len, out.bytes.data());
   return out;
 }
 
-}  // namespace
+Key128 prf(const Key128& key, const std::uint8_t* msg, size_t len) {
+  return prf(crypto::Cmac(key.bytes.data()), msg, len);
+}
 
-Key128 derive_as_key(const Key128& secret_value, AsId dst) {
-  std::uint8_t msg[16] = {};
+// PRF input of K_{A→dst}: one block.
+void as_key_input(AsId dst, std::uint8_t msg[16]) {
+  std::memset(msg, 0, 16);
   msg[0] = 0x01;  // derivation level: AS
   const std::uint64_t raw = dst.raw();
   for (int i = 0; i < 8; ++i) {
     msg[1 + i] = static_cast<std::uint8_t>(raw >> (8 * i));
   }
+}
+
+}  // namespace
+
+Key128 derive_as_key(const Key128& secret_value, AsId dst) {
+  std::uint8_t msg[16];
+  as_key_input(dst, msg);
   return prf(secret_value, msg, sizeof(msg));
 }
 
@@ -54,6 +61,21 @@ Key128 SecretValueSchedule::secret_value(UnixSec t) const {
     msg[5 + i] = static_cast<std::uint8_t>(raw >> (8 * i));
   }
   return prf(master_, msg, sizeof(msg));
+}
+
+void Engine::refresh(UnixSec now) {
+  if (cached_epoch_.contains(now)) return;
+  cached_secret_.set_key(schedule_.secret_value(now).bytes.data());
+  cached_epoch_ = schedule_.epoch_at(now);
+}
+
+Key128 Engine::as_key(AsId dst, UnixSec at) const {
+  if (!cached_epoch_.contains(at)) {
+    return derive_as_key(schedule_.secret_value(at), dst);
+  }
+  std::uint8_t msg[16];
+  as_key_input(dst, msg);
+  return prf(cached_secret_, msg, sizeof(msg));
 }
 
 }  // namespace colibri::drkey

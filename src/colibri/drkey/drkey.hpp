@@ -9,6 +9,13 @@
 // fetch it once per epoch from A's key server over a PKI-protected channel
 // (see keyserver.hpp). Host-level keys K_{A→B:H} hang off the AS-level key
 // so per-host state is never needed either.
+//
+// What makes A's side one AES-CMAC here: the Engine keeps a CMAC context
+// keyed with the current epoch's secret value K_A, so deriving K_{A→B} is
+// one single-block CMAC with no key expansion. That is one context per AS
+// per epoch, not per peer, so the fast side still holds no per-source
+// state (§5.3). B's side keeps one EAX context per fetched key in its
+// KeyCache, built once when the key arrives.
 #pragma once
 
 #include <array>
@@ -77,9 +84,15 @@ class Engine {
          std::uint32_t epoch_seconds = kDefaultEpochSeconds)
       : schedule_(master, owner, epoch_seconds) {}
 
-  Key128 as_key(AsId dst, UnixSec at) const {
-    return derive_as_key(schedule_.secret_value(at), dst);
-  }
+  // Keys the cached secret-value context to the epoch containing `now`;
+  // a no-op while `now` stays in the cached epoch. Until the first call
+  // nothing is cached.
+  void refresh(UnixSec now);
+
+  // K_{owner→dst} at time `at`: one single-block CMAC when `at` falls in
+  // the cached epoch, otherwise derived from the secret value from
+  // scratch. Both give derive_as_key(schedule().secret_value(at), dst).
+  Key128 as_key(AsId dst, UnixSec at) const;
   Key128 host_key(AsId dst, const HostAddr& host, UnixSec at) const {
     return derive_host_key(as_key(dst, at), host);
   }
@@ -89,6 +102,8 @@ class Engine {
 
  private:
   SecretValueSchedule schedule_;
+  Epoch cached_epoch_;         // empty until the first refresh
+  crypto::Cmac cached_secret_;  // keyed with cached_epoch_'s secret value
 };
 
 }  // namespace colibri::drkey

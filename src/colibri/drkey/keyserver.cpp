@@ -1,5 +1,7 @@
 #include "colibri/drkey/keyserver.hpp"
 
+#include <algorithm>
+
 namespace colibri::drkey {
 
 Key128 SimulatedPki::enroll(AsId as) {
@@ -55,32 +57,74 @@ bool KeyCache::insert(AsId remote, const KeyResponse& response) {
   const Bytes msg = KeyServer::response_message(remote, owner_, response.key,
                                                 response.epoch);
   if (!pki_->verify(remote, msg, response.signature)) return false;
-  cache_[CacheKey{remote.raw(), response.epoch.begin}] =
-      Entry{response.key, response.epoch};
+  Slot& slot = by_remote_[remote];
+  Entry* e = nullptr;
+  for (size_t i = 0; i < slot.n && e == nullptr; ++i) {
+    if (slot.entries[i].epoch.begin == response.epoch.begin) {
+      e = &slot.entries[i];
+    }
+  }
+  if (e == nullptr) {
+    // A new epoch takes a free entry, or else the one that ends first.
+    e = slot.n < kEpochsPerRemote
+            ? &slot.entries[slot.n++]
+            : &*std::min_element(slot.entries.begin(), slot.entries.end(),
+                                 [](const Entry& a, const Entry& b) {
+                                   return a.epoch.end < b.epoch.end;
+                                 });
+  }
+  e->epoch = response.epoch;
+  e->key = response.key;
+  e->eax.set_key(response.key.bytes.data());
   return true;
 }
 
-std::optional<Key128> KeyCache::lookup(AsId remote, UnixSec at) const {
-  // Epochs are aligned, so probing the containing epoch requires knowing
-  // the remote's epoch length; we scan candidates instead (cache entries
-  // per remote are at most two: current + prefetched next).
-  for (const auto& [k, e] : cache_) {
-    if (k.as_raw == remote.raw() && e.epoch.contains(at)) return e.key;
+const KeyCache::Entry* KeyCache::find(AsId remote, UnixSec at) const {
+  const auto it = by_remote_.find(remote);
+  if (it == by_remote_.end()) return nullptr;
+  const Slot& slot = it->second;
+  for (size_t i = 0; i < slot.n; ++i) {
+    if (slot.entries[i].epoch.contains(at)) return &slot.entries[i];
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+std::optional<Key128> KeyCache::lookup(AsId remote, UnixSec at) const {
+  const Entry* e = find(remote, at);
+  if (e == nullptr) return std::nullopt;
+  return e->key;
+}
+
+const crypto::Eax* KeyCache::context(AsId remote, UnixSec at) const {
+  const Entry* e = find(remote, at);
+  return e == nullptr ? nullptr : &e->eax;
 }
 
 size_t KeyCache::expire(UnixSec now) {
   size_t removed = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.epoch.end <= now) {
-      it = cache_.erase(it);
-      ++removed;
+  for (auto it = by_remote_.begin(); it != by_remote_.end();) {
+    Slot& slot = it->second;
+    size_t kept = 0;
+    for (size_t i = 0; i < slot.n; ++i) {
+      if (slot.entries[i].epoch.end <= now) continue;
+      if (kept != i) slot.entries[kept] = slot.entries[i];
+      ++kept;
+    }
+    removed += slot.n - kept;
+    slot.n = kept;
+    if (kept == 0) {
+      it = by_remote_.erase(it);
     } else {
       ++it;
     }
   }
   return removed;
+}
+
+size_t KeyCache::size() const {
+  size_t n = 0;
+  for (const auto& [remote, slot] : by_remote_) n += slot.n;
+  return n;
 }
 
 }  // namespace colibri::drkey

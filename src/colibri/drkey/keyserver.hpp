@@ -10,11 +10,13 @@
 // security-relevant downstream uses the real symmetric keys.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 
 #include "colibri/common/bytes.hpp"
+#include "colibri/crypto/eax.hpp"
 #include "colibri/crypto/sha256.hpp"
 #include "colibri/drkey/drkey.hpp"
 
@@ -59,46 +61,51 @@ class KeyServer {
   Key128 signing_secret_;
 };
 
-// Slow-side cache at AS B holding fetched keys K_{A→B}, keyed by (A, epoch
-// start). Verifies signatures on insert; callers prefetch ahead of time
-// (the paper: "they can be fetched ahead of time and only need to be
-// infrequently renewed").
+// Slow-side cache at AS B holding fetched keys K_{A→B}, keyed by A, with
+// at most two epochs per A: the current one and a prefetched next one.
+// Verifies signatures on insert; callers prefetch ahead of time (the
+// paper: "they can be fetched ahead of time and only need to be
+// infrequently renewed"). Each entry carries an EAX context keyed with its
+// key, built once at insert, so B MACs and unseals under K_{A→B} without
+// re-expanding it. Lookup cost does not grow with the number of ASes.
 class KeyCache {
  public:
+  static constexpr size_t kEpochsPerRemote = 2;
+
   KeyCache(AsId owner, const SimulatedPki& pki) : owner_(owner), pki_(&pki) {}
 
   // Fetch-and-cache from a remote key server. Returns false if the
-  // signature fails to verify (the key is then not cached).
+  // signature fails to verify (the key is then not cached). A third epoch
+  // for the same remote replaces the one that ends first.
   bool insert(AsId remote, const KeyResponse& response);
 
   std::optional<Key128> lookup(AsId remote, UnixSec at) const;
+  // The EAX context of the key lookup() would return, or nullptr. Valid
+  // until the next insert() for `remote` or expire().
+  const crypto::Eax* context(AsId remote, UnixSec at) const;
 
   // Drops entries whose epoch ended before `now`.
   size_t expire(UnixSec now);
 
-  size_t size() const { return cache_.size(); }
+  size_t size() const;
   AsId owner() const { return owner_; }
 
  private:
-  struct CacheKey {
-    std::uint64_t as_raw;
-    UnixSec epoch_begin;
-    friend constexpr auto operator<=>(const CacheKey&, const CacheKey&) = default;
-  };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.as_raw * 0x9E3779B97F4A7C15ULL ^
-                                        k.epoch_begin);
-    }
-  };
   struct Entry {
-    Key128 key;
     Epoch epoch;
+    Key128 key;
+    crypto::Eax eax;
   };
+  struct Slot {
+    std::array<Entry, kEpochsPerRemote> entries;
+    size_t n = 0;
+  };
+
+  const Entry* find(AsId remote, UnixSec at) const;
 
   AsId owner_;
   const SimulatedPki* pki_;
-  std::unordered_map<CacheKey, Entry, CacheKeyHash> cache_;
+  std::unordered_map<AsId, Slot> by_remote_;
 };
 
 }  // namespace colibri::drkey

@@ -60,11 +60,16 @@ TEST(AesTest, PortableMatchesAesni) {
     std::uint8_t key[16], pt[16], fast[16], slow[16];
     rng.fill(key, 16);
     rng.fill(pt, 16);
-    Aes128 aes(key);
-    aes.encrypt_block(pt, fast);  // AES-NI path
+    // The backend is fixed when the key is set: one cipher per backend.
+    const Aes128 fast_aes(key);
     Aes128::set_force_portable(true);
-    aes.encrypt_block(pt, slow);  // portable path
+    const Aes128 slow_aes(key);
     Aes128::set_force_portable(false);
+    EXPECT_EQ(0, std::memcmp(fast_aes.round_keys(), slow_aes.round_keys(),
+                             16 * (Aes128::kRounds + 1)))
+        << "iteration " << i;
+    fast_aes.encrypt_block(pt, fast);
+    slow_aes.encrypt_block(pt, slow);
     EXPECT_EQ(0, std::memcmp(fast, slow, 16)) << "iteration " << i;
   }
 }
@@ -195,6 +200,76 @@ TEST(CtrTest, CounterCrossesBlockBoundary) {
   // Keystream blocks must differ (counter advanced despite wrap).
   EXPECT_NE(0, std::memcmp(data.data(), data.data() + 16, 16));
   EXPECT_NE(0, std::memcmp(data.data() + 16, data.data() + 32, 16));
+}
+
+// EAX paper (Bellare, Rogaway, Wagner 2004) vectors. seal returns
+// N || C || T; each vector runs on a cipher keyed under each backend.
+TEST(EaxTest, KnownAnswerVectorsOnBothBackends) {
+  struct Vector {
+    const char* key;
+    const char* nonce;
+    const char* header;
+    const char* msg;
+    const char* ct_tag;
+  };
+  const Vector vectors[] = {
+      {"233952DEE4D5ED5F9B9C6D6FF80FF478", "62EC67F9C3A4A407FCB2A8C49031A8B3",
+       "6BFB914FD07EAE6B", "", "E037830E8389F27B025A2D6527E79D01"},
+      {"91945D3F4DCBEE0BF45EF52255F095A4", "BECAF043B0A23D843194BA972C66DEBD",
+       "FA3BFD4806EB53FA", "F7FB", "19DD5C4C9331049D0BDAB0277408F67967E5"},
+  };
+  for (const bool force_portable : {false, true}) {
+    for (const Vector& v : vectors) {
+      Aes128::set_force_portable(force_portable);
+      const Eax eax(from_hex(v.key).data());
+      Aes128::set_force_portable(false);
+      const Bytes nonce = from_hex(v.nonce);
+      const Bytes header = from_hex(v.header);
+      const Bytes msg = from_hex(v.msg);
+      Bytes expect = nonce;
+      append_bytes(expect, from_hex(v.ct_tag));
+      const Bytes sealed = eax.seal(nonce, header, msg);
+      EXPECT_EQ(to_hex(sealed), to_hex(expect))
+          << "key " << v.key << (force_portable ? " portable" : " default");
+      const auto opened = eax.open(header, sealed);
+      ASSERT_TRUE(opened.has_value()) << "key " << v.key;
+      EXPECT_EQ(*opened, msg);
+    }
+  }
+}
+
+// EAX from its definition: OMAC^t(m) = CMAC([0]^15 || t || m) over a
+// plain CMAC, CTR under the nonce's OMAC. The cached-tweak OMACs must
+// agree for every length, including empty inputs and multi-block ones.
+TEST(EaxTest, MatchesDefinitionOverPlainCmac) {
+  Rng rng(21);
+  for (size_t len = 0; len <= 48; ++len) {
+    std::uint8_t key[16];
+    rng.fill(key, sizeof(key));
+    Bytes nonce(Eax::kNonceSize), aad(len), pt((len * 7) % 41);
+    rng.fill(nonce.data(), nonce.size());
+    rng.fill(aad.data(), aad.size());
+    rng.fill(pt.data(), pt.size());
+
+    const Cmac cmac(key);
+    const auto omac = [&](std::uint8_t t, BytesView m, std::uint8_t out[16]) {
+      Bytes in(16, 0);
+      in[15] = t;
+      append_bytes(in, m);
+      cmac.compute(in, out);
+    };
+    std::uint8_t n[16], h[16], c[16];
+    omac(0, nonce, n);
+    omac(1, aad, h);
+    Bytes want = nonce;
+    Bytes ct = pt;
+    ctr_xcrypt(cmac.cipher(), n, ct.data(), ct.size());
+    omac(2, ct, c);
+    append_bytes(want, ct);
+    for (int i = 0; i < 16; ++i) want.push_back(n[i] ^ h[i] ^ c[i]);
+
+    EXPECT_EQ(Eax(key).seal(nonce, aad, pt), want) << "len " << len;
+  }
 }
 
 TEST(EaxTest, SealOpenRoundTrip) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "colibri/app/testbed.hpp"
+#include "colibri/crypto/sha256.hpp"
 #include "colibri/cserv/distributed.hpp"
 
 namespace colibri::cserv {
@@ -385,6 +386,105 @@ TEST_F(CservTest, ForgedRequestRejected) {
   EXPECT_FALSE(resp->success);
   EXPECT_EQ(resp->fail_code, Errc::kAuthFailed);
   EXPECT_EQ(bed_.cserv(seg.hops[1].as).stats().auth_failures, 1u);
+}
+
+// DRKey epochs roll over under live reservations: a renewal after the
+// boundary authenticates with the new epoch's keys at every AS, whether or
+// not a tick has refreshed the cached secret values and fetched keys.
+void renew_across_drkey_epoch(bool tick_between) {
+  // A few seconds before the first epoch ends, so the SegRs stay valid.
+  SimClock clock((drkey::kDefaultEpochSeconds - 5) * kNsPerSec);
+  Testbed bed(topology::builders::two_isd_topology(), clock);
+  ASSERT_GT(bed.provision_all_segments(1000, 10'000'000), 0u);
+  const AsId src{1, 112}, dst{2, 212};
+  auto session = bed.daemon(src).open_session(
+      dst, HostAddr::from_u64(1), HostAddr::from_u64(2), 100, 20'000);
+  ASSERT_TRUE(session.ok()) << errc_name(session.error());
+  const ResKey key = session.value().key();
+  const drkey::Epoch first =
+      bed.cserv(src).drkey_engine().schedule().epoch_at(clock.now_sec());
+
+  clock.advance(10 * kNsPerSec);
+  ASSERT_FALSE(first.contains(clock.now_sec()));
+  if (tick_between) bed.tick_all();
+
+  auto renewed = bed.cserv(src).renew_eer(key, 100, 20'000);
+  ASSERT_TRUE(renewed.ok()) << errc_name(renewed.error());
+  EXPECT_EQ(renewed.value().version, 1);
+  auto fresh = bed.daemon(src).open_session(
+      dst, HostAddr::from_u64(3), HostAddr::from_u64(4), 100, 20'000);
+  ASSERT_TRUE(fresh.ok()) << errc_name(fresh.error());
+
+  const auto rec = bed.cserv(src).db().eer_copy(key);
+  ASSERT_TRUE(rec.has_value());
+  for (const auto& hop : rec->path) {
+    const auto eer = bed.cserv(hop.as).db().eer_copy(key);
+    ASSERT_TRUE(eer.has_value()) << hop.as.to_string();
+    EXPECT_EQ(eer->versions.back().version, 1) << hop.as.to_string();
+    EXPECT_EQ(bed.cserv(hop.as).stats().auth_failures, 0u)
+        << hop.as.to_string();
+  }
+}
+
+TEST(DrkeyEpochTest, EerRenewsAcrossEpochWithoutTick) {
+  renew_across_drkey_epoch(false);
+}
+
+TEST(DrkeyEpochTest, EerRenewsAcrossEpochAfterTick) {
+  renew_across_drkey_epoch(true);
+}
+
+// Pins the control plane's wire bytes: SHA-256 over every bus frame,
+// request and response, each length-prefixed, of a fixed SimClock run:
+// SegR provisioning, then 32 EER setups and 32 renewals from 1-112 to
+// 2-212. Changes that only move work around (caching keys, reusing
+// contexts) must leave the digest as it is.
+TEST(WireIdentityTest, BusFramesMatchGoldenDigest) {
+  SimClock clock(1000 * kNsPerSec);
+  CservConfig cfg;
+  cfg.rate_limits.per_as_requests_per_sec = 1e12;
+  cfg.rate_limits.per_as_burst = 1e12;
+  cfg.rate_limits.renewals_per_reservation_per_sec = 1e12;
+  cfg.rate_limits.renewal_burst = 1e12;
+  crypto::Sha256 digest;
+  std::size_t frames = 0;
+  Testbed bed(topology::builders::two_isd_topology(), clock, cfg);
+  for (const AsId as : bed.topology().as_ids()) {
+    CServ* cs = &bed.cserv(as);
+    bed.bus().attach(as, [cs, &digest, &frames](BytesView wire) {
+      Bytes out = cs->handle(wire);
+      for (const BytesView frame : {wire, BytesView(out)}) {
+        Bytes len;
+        put_le(len, static_cast<std::uint32_t>(frame.size()));
+        digest.update(len);
+        digest.update(frame);
+      }
+      ++frames;
+      return out;
+    });
+  }
+  ASSERT_GT(bed.provision_all_segments(100, 2'000'000), 0u);
+
+  const AsId src{1, 112}, dst{2, 212};
+  const auto chains = bed.cserv(src).lookup_chains(dst);
+  ASSERT_FALSE(chains.empty());
+  std::vector<ResKey> segrs;
+  for (const auto& advert : chains.front()) segrs.push_back(advert.key);
+  std::vector<ResKey> eers;
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    auto r = bed.cserv(src).setup_eer(segrs, HostAddr::from_u64(1 + i),
+                                      HostAddr::from_u64(1000 + i), 100, 1000);
+    ASSERT_TRUE(r.ok()) << "setup " << i << ": " << errc_name(r.error());
+    eers.push_back(r.value().key);
+  }
+  for (const ResKey& k : eers) {
+    auto r = bed.cserv(src).renew_eer(k, 100, 1000);
+    ASSERT_TRUE(r.ok()) << "renewal: " << errc_name(r.error());
+  }
+  const auto d = digest.finish();
+  EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+            "281bb54fdf9035833c37cf35bbc84bcfd609c0b7e43f430163e12971b5eab395")
+      << frames << " bus deliveries";
 }
 
 TEST(DistributedCservTest, RoutesBySegrConsistently) {

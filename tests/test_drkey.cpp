@@ -2,6 +2,7 @@
 // simulated PKI.
 #include <gtest/gtest.h>
 
+#include "colibri/crypto/eax.hpp"
 #include "colibri/drkey/drkey.hpp"
 #include "colibri/drkey/keyserver.hpp"
 
@@ -74,6 +75,86 @@ TEST(EngineTest, FastSideMatchesSlowSideFetch) {
   auto cached = cache_b.lookup(kAsA, now);
   ASSERT_TRUE(cached.has_value());
   EXPECT_EQ(*cached, engine_a.as_key(kAsB, now));
+}
+
+// The cached secret-value context must never change a derived key: for
+// times in the cached epoch, in the next one, and back again, as_key
+// equals the uncached formula, across several destinations.
+TEST(EngineTest, CachedEpochMatchesUncachedDerivation) {
+  Engine engine(master(7), kAsA, 100);
+  const AsId dsts[] = {kAsB, kAsA, kAsC, AsId{3, 77}};
+  const auto check = [&](UnixSec t) {
+    for (const AsId dst : dsts) {
+      EXPECT_EQ(engine.as_key(dst, t),
+                derive_as_key(engine.schedule().secret_value(t), dst))
+          << "t=" << t << " dst=" << dst.to_string();
+    }
+  };
+  check(150);  // nothing cached yet
+  engine.refresh(120);  // caches [100, 200)
+  for (const UnixSec t : {100u, 150u, 199u, 200u, 250u, 299u, 101u, 150u}) {
+    check(t);
+  }
+  engine.refresh(250);  // caches [200, 300)
+  for (const UnixSec t : {250u, 150u, 200u, 120u, 299u, 300u, 199u}) check(t);
+  engine.refresh(260);  // same epoch: no change
+  check(260);
+  check(150);
+}
+
+TEST(KeyCacheTest, ContextFollowsInsertAndExpire) {
+  SimulatedPki pki;
+  Engine engine_a(master(7), kAsA, 100);
+  KeyServer server_a(engine_a, pki.enroll(kAsA));
+  KeyCache cache_b(kAsB, pki);
+  const Bytes nonce(16, 1);
+  const Bytes aad = {1, 2};
+  const Bytes pt = {3, 4, 5};
+  const auto sealed_under = [&](const Key128& k) {
+    return crypto::Eax(k.bytes.data()).seal(nonce, aad, pt);
+  };
+
+  ASSERT_TRUE(cache_b.insert(kAsA, server_a.fetch(kAsB, 50)));
+  const Key128 first = engine_a.as_key(kAsB, 50);
+  const crypto::Eax* ctx = cache_b.context(kAsA, 50);
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_EQ(ctx->seal(nonce, aad, pt), sealed_under(first));
+  EXPECT_EQ(cache_b.context(kAsA, 150), nullptr);  // epoch not cached
+  EXPECT_EQ(cache_b.context(kAsC, 50), nullptr);   // remote not cached
+
+  EXPECT_EQ(cache_b.expire(100), 1u);
+  EXPECT_EQ(cache_b.context(kAsA, 50), nullptr);
+  EXPECT_FALSE(cache_b.lookup(kAsA, 50).has_value());
+
+  ASSERT_TRUE(cache_b.insert(kAsA, server_a.fetch(kAsB, 150)));
+  const Key128 second = engine_a.as_key(kAsB, 150);
+  ASSERT_NE(first, second);
+  const crypto::Eax* next = cache_b.context(kAsA, 150);
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(next->seal(nonce, aad, pt), sealed_under(second));
+  EXPECT_NE(next->seal(nonce, aad, pt), sealed_under(first));
+}
+
+TEST(KeyCacheTest, HoldsTwoEpochsPerRemote) {
+  SimulatedPki pki;
+  Engine engine_a(master(7), kAsA, 100);
+  Engine engine_c(master(8), kAsC, 100);
+  KeyServer server_a(engine_a, pki.enroll(kAsA));
+  KeyServer server_c(engine_c, pki.enroll(kAsC));
+  KeyCache cache_b(kAsB, pki);
+  ASSERT_TRUE(cache_b.insert(kAsA, server_a.fetch(kAsB, 50)));
+  ASSERT_TRUE(cache_b.insert(kAsA, server_a.fetch(kAsB, 150)));
+  ASSERT_TRUE(cache_b.insert(kAsC, server_c.fetch(kAsB, 50)));
+  ASSERT_TRUE(cache_b.insert(kAsA, server_a.fetch(kAsB, 150)));  // refetch
+  EXPECT_EQ(cache_b.size(), 3u);
+
+  // A third epoch of A replaces A's epoch that ends first.
+  ASSERT_TRUE(cache_b.insert(kAsA, server_a.fetch(kAsB, 250)));
+  EXPECT_EQ(cache_b.size(), 3u);
+  EXPECT_FALSE(cache_b.lookup(kAsA, 50).has_value());
+  EXPECT_EQ(cache_b.lookup(kAsA, 150), engine_a.as_key(kAsB, 150));
+  EXPECT_EQ(cache_b.lookup(kAsA, 250), engine_a.as_key(kAsB, 250));
+  EXPECT_EQ(cache_b.lookup(kAsC, 50), engine_c.as_key(kAsB, 50));
 }
 
 TEST(KeyCacheTest, RejectsForgedResponse) {
