@@ -24,8 +24,10 @@
 # The default preset additionally smoke-tests the colibri_obs tool end
 # to end: run the demo scenario, dump every artifact, export a Perfetto
 # trace, query the sharded-runtime health surface, drive the failover
-# scenario through the watch dashboard, and run the fleet-federation
-# scenario through both the fleet table and the watch fleet line.
+# scenario through the watch dashboard, run the fleet-federation
+# scenario through both the fleet table and the watch fleet line, and
+# check that the SimClock-driven outputs (event dump, fleet table,
+# fleet watch frame) come out byte-identical on a second run.
 #
 # The opt-in bench-gate lane (not part of the default preset list —
 # benchmark numbers are machine-sensitive, so it only runs when asked
@@ -104,19 +106,35 @@ for preset in "${PRESETS[@]}"; do
     [ -x "$OBS" ] || OBS=$(find build -name colibri_obs -type f | head -1)
     "$OBS" > /dev/null
     "$OBS" --dump=openmetrics | grep -q '^# EOF$'
-    "$OBS" --dump=events | head -1 | grep -q '"name"'
+    # Through a file: `| head -1` would close the pipe on a dump larger
+    # than the pipe buffer, and pipefail would fail the step on SIGPIPE.
+    events_out=$(mktemp /tmp/colibri_events.XXXXXX)
+    "$OBS" --dump=events > "$events_out"
+    head -1 "$events_out" | grep -q '"name"'
+    rm -f "$events_out"
     "$OBS" --query=router.forwarded > /dev/null
     trace_out=$(mktemp /tmp/colibri_trace.XXXXXX.json)
     "$OBS" trace --perfetto "$trace_out" | grep -q 'trace events'
     grep -q '"traceEvents"' "$trace_out"
     rm -f "$trace_out"
-    "$OBS" health | grep -q 'stall detector'
+    "$OBS" health | grep -q 'stall detector: all workers live'
     "$OBS" watch --once | grep -q 'alerts:'
     echo "=== [default] colibri_obs failover-scenario smoke"
     "$OBS" watch --once --scenario=failover | grep -q 'failover:'
     echo "=== [default] colibri_obs fleet-federation smoke"
     "$OBS" fleet --once | grep -q 'audit: PASS'
     "$OBS" watch --once --scenario=fleet | grep -q 'fleet:'
+    echo "=== [default] colibri_obs determinism smoke (two runs, same bytes)"
+    det_dir=$(mktemp -d /tmp/colibri_det.XXXXXX)
+    for run in 1 2; do
+      "$OBS" --dump=events > "$det_dir/events.$run"
+      "$OBS" fleet --once > "$det_dir/fleet.$run"
+      "$OBS" watch --once --scenario=fleet > "$det_dir/watch_fleet.$run"
+    done
+    for out in events fleet watch_fleet; do
+      cmp "$det_dir/$out.1" "$det_dir/$out.2"
+    done
+    rm -rf "$det_dir"
     echo "=== [default] colibri_obs forensics smoke (history round-trip + incident)"
     forensics_dir=$(mktemp -d /tmp/colibri_forensics.XXXXXX)
     "$OBS" watch --once --scenario=failover --forensics-dir="$forensics_dir" \

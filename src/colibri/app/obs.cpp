@@ -541,8 +541,6 @@ ObsArtifacts run_obs_scenario(const ObsOptions& opts) {
     }
     runtime.drain();
   }
-  (void)runtime.check_stalls();  // baseline
-  const std::vector<size_t> stalled = runtime.check_stalls();
   runtime.stop();
   // Window over the runtime leg, cut only after stop(): the SimClock
   // must never move while the workers run (they read it concurrently
@@ -604,9 +602,16 @@ ObsArtifacts run_obs_scenario(const ObsOptions& opts) {
   out.trace_events = ptb.event_count();
   out.trace_tracks = ptb.track_count();
 
-  // Health surface: one line per shard plus the stall verdict.
+  // Health surface: one line per shard plus the stall verdict, which is
+  // the alert pack's — a shard is stalled while its
+  // runtime.shard<i>.stall rule fires.
   out.health_shards = runtime.shard_count();
-  out.stalled_shards = stalled.size();
+  for (const telemetry::AlertStatus& st : engine.status()) {
+    if (st.name.starts_with("runtime.shard") && st.name.ends_with(".stall") &&
+        st.state == telemetry::AlertState::kFiring) {
+      ++out.stalled_shards;
+    }
+  }
   for (size_t i = 0; i < runtime.shard_count(); ++i) {
     const auto h = runtime.shard_health(i);
     out.health_rejected += h.rejected;
@@ -625,10 +630,10 @@ ObsArtifacts run_obs_scenario(const ObsOptions& opts) {
                   static_cast<unsigned long long>(h.heartbeats));
     out.health_text += line;
   }
-  out.health_text += stalled.empty()
+  out.health_text += out.stalled_shards == 0
                          ? "stall detector: all workers live\n"
                          : "stall detector: " +
-                               std::to_string(stalled.size()) +
+                               std::to_string(out.stalled_shards) +
                                " shard(s) stalled\n";
 
   // Detach before the local recorders/policing objects go out of scope.

@@ -75,8 +75,9 @@ struct ObsArtifacts {
 
   // Sharded-runtime health surface after the runtime leg: one line per
   // shard (ring depth, high watermark, rejections, heartbeats) plus the
-  // stall-detector verdict. The same numbers land in the metrics
-  // snapshot under "gateway_runtime.*".
+  // stall-detector verdict, read from the runtime.shard<i>.stall alert
+  // rules. The same numbers land in the metrics snapshot under
+  // "gateway_runtime.*".
   std::string health_text;
   std::size_t health_shards = 0;
   std::uint64_t health_rejected = 0;

@@ -115,8 +115,6 @@ class CServ : public telemetry::MetricsSource {
   }
   AsId local_as() const { return local_; }
   const Clock& clock() const { return *clock_; }
-  // Legacy view, kept as a thin alias of snapshot().
-  CservStats stats() const { return snapshot(); }
 
   // Backup-reservation failover (see failover.hpp). The manager registers
   // itself here; the renewal manager consults it to skip failed-over

@@ -131,8 +131,6 @@ class Gateway : public telemetry::MetricsSource {
   // Uniform stats accessors: consistent point-in-time view + reset.
   GatewayStats snapshot() const;
   void reset();
-  // Legacy view, kept as a thin alias of snapshot().
-  GatewayStats stats() const { return snapshot(); }
 
   // Emits under "gateway.*" (bare names routed through a PrefixedSink).
   void collect_metrics(telemetry::MetricSink& sink) const override;

@@ -133,8 +133,6 @@ class BorderRouter : public telemetry::MetricsSource {
   // Uniform stats accessors: consistent point-in-time view + reset.
   RouterStats snapshot() const;
   void reset();
-  // Legacy view, kept as a thin alias of snapshot().
-  RouterStats stats() const { return snapshot(); }
 
   void collect_metrics(telemetry::MetricSink& sink) const override;
 

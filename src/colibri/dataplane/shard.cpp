@@ -133,10 +133,7 @@ void ShardedGateway::collect_metrics(telemetry::MetricSink& sink) const {
 ShardedGatewayRuntime::ShardedGatewayRuntime(
     ShardedGateway& gateway, size_t ring_capacity,
     telemetry::MetricsRegistry* registry)
-    : gateway_(&gateway),
-      stall_baseline_(gateway.shard_count(), 0),
-      stall_baselined_(gateway.shard_count(), false),
-      registration_(registry, this) {
+    : gateway_(&gateway), registration_(registry, this) {
   shards_.reserve(gateway.shard_count());
   for (size_t i = 0; i < gateway.shard_count(); ++i) {
     shards_.push_back(std::make_unique<PerShard>(ring_capacity));
@@ -165,13 +162,13 @@ bool ShardedGatewayRuntime::submit(ResId id, std::uint32_t payload_bytes) {
     ps.rejected.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const std::uint64_t submitted =
-      ps.submitted.load(std::memory_order_relaxed) + 1;
-  ps.submitted.store(submitted, std::memory_order_release);
-  // Ring depth as the producer sees it; the worker only shrinks it, so
-  // this never under-reports the true high watermark.
-  const std::uint64_t depth =
-      submitted - ps.processed.load(std::memory_order_acquire);
+  ps.submitted.store(ps.submitted.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_release);
+  // Occupancy right after the push, as the producer sees it: the worker
+  // only shrinks it, so this never under-reports the high watermark —
+  // and, unlike submitted - processed, it never counts a request the
+  // worker has already popped, so it stays within the ring capacity.
+  const std::uint64_t depth = ps.ring.size();
   if (depth > ps.high_watermark.load(std::memory_order_relaxed)) {
     ps.high_watermark.store(depth, std::memory_order_relaxed);
   }
@@ -201,16 +198,6 @@ void ShardedGatewayRuntime::drain() const {
   while (!idle()) std::this_thread::yield();
 }
 
-ShardedGatewayRuntime::WorkerStats ShardedGatewayRuntime::worker_stats(
-    size_t shard) const {
-  const PerShard& ps = *shards_[shard];
-  WorkerStats s;
-  s.processed = ps.processed.load(std::memory_order_acquire);
-  s.batches = ps.batches.load(std::memory_order_acquire);
-  s.ok = ps.ok.load(std::memory_order_acquire);
-  return s;
-}
-
 ShardedGatewayRuntime::ShardHealth ShardedGatewayRuntime::shard_health(
     size_t shard) const {
   const PerShard& ps = *shards_[shard];
@@ -226,20 +213,6 @@ ShardedGatewayRuntime::ShardHealth ShardedGatewayRuntime::shard_health(
   h.ring_depth = h.submitted >= h.processed ? h.submitted - h.processed : 0;
   h.high_watermark = ps.high_watermark.load(std::memory_order_acquire);
   return h;
-}
-
-std::vector<size_t> ShardedGatewayRuntime::check_stalls() {
-  std::vector<size_t> stalled;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const ShardHealth h = shard_health(i);
-    if (stall_baselined_[i] && h.ring_depth > 0 &&
-        h.heartbeats == stall_baseline_[i]) {
-      stalled.push_back(i);
-    }
-    stall_baseline_[i] = h.heartbeats;
-    stall_baselined_[i] = true;
-  }
-  return stalled;
 }
 
 void ShardedGatewayRuntime::collect_metrics(

@@ -112,34 +112,29 @@ struct ShardRequest {
 // concurrently); each worker drains its ring in batches through its
 // shard's process_batch. Output packets are consumed into worker-local
 // scratch — the runtime is a throughput engine; verdict accounting
-// lives in the per-shard gateway counters plus the worker stats here.
+// lives in the per-shard gateway counters plus the health view here.
 //
-// Health surface: every shard continuously publishes its ring depth
-// (submitted - processed), the deepest the ring has ever been
-// (high_watermark), how many submissions bounced off a full ring
-// (rejected), and a worker heartbeat that advances every loop
-// iteration — idle spins included — so a monitor can tell "queue is
-// deep but draining" from "worker is stuck". All of it is exported as
-// "gateway_runtime.shard.<i>.*" when a registry is passed, and
-// check_stalls() turns the heartbeats into a yes/no stall verdict.
+// Health surface: every shard continuously publishes its depth
+// (submitted - processed: queued plus in-flight requests), the most
+// requests its ring has ever held (high_watermark), how many
+// submissions bounced off a full ring (rejected), and a worker
+// heartbeat that advances every loop iteration — idle spins included —
+// so a monitor can tell "queue is deep but draining" from "worker is
+// stuck". All of it is exported as "gateway_runtime.shard.<i>.*" when a
+// registry is passed, and default_alert_rules() turns the heartbeats
+// into a debounced stall verdict.
 class ShardedGatewayRuntime : public telemetry::MetricsSource {
  public:
-  struct WorkerStats {
-    std::uint64_t processed = 0;  // requests popped and classified
-    std::uint64_t batches = 0;    // process_batch invocations
-    std::uint64_t ok = 0;         // Verdict::kOk results
-  };
-
   // Point-in-time health view of one shard (see shard_health()).
   struct ShardHealth {
     std::uint64_t submitted = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t ok = 0;
+    std::uint64_t processed = 0;  // requests popped and classified
+    std::uint64_t batches = 0;    // process_batch invocations
+    std::uint64_t ok = 0;         // Verdict::kOk results
     std::uint64_t rejected = 0;        // submissions refused: ring full
     std::uint64_t heartbeats = 0;      // worker loop iterations
     std::uint64_t ring_depth = 0;      // submitted - processed
-    std::uint64_t high_watermark = 0;  // max ring_depth ever observed
+    std::uint64_t high_watermark = 0;  // max ring occupancy after a push
   };
 
   // The runtime registers with `registry` (nullptr = none, the default
@@ -171,30 +166,15 @@ class ShardedGatewayRuntime : public telemetry::MetricsSource {
   void drain() const;
 
   size_t shard_count() const { return shards_.size(); }
-  WorkerStats worker_stats(size_t shard) const;
   ShardHealth shard_health(size_t shard) const;
-
-  // Stall detector: returns the indices of shards that have queued work
-  // (ring_depth > 0) but whose worker heartbeat has not advanced since
-  // the previous check_stalls() call. Call it from one monitoring
-  // thread at whatever cadence defines "stalled" (two calls bracket the
-  // observation window); the first call only baselines and returns
-  // nothing for shards it has not observed before.
-  //
-  // The declarative monitoring plane subsumes this: the
-  // default_alert_rules() pack expresses the same verdict as a
-  // windowed heartbeat-rate rule guarded by ring depth, with debounce
-  // and a firing/resolved audit trail. check_stalls() remains for
-  // callers without a sampler loop.
-  std::vector<size_t> check_stalls();
 
   // Default monitoring rule pack (see telemetry/alerts.hpp), two rules
   // per shard over the "gateway_runtime.shard.<i>.*" series this
   // runtime exports:
   //  * "runtime.shard<i>.stall" (error): the worker heartbeat rate
   //    drops below one beat per second while the shard's ring still
-  //    holds work — the declarative form of check_stalls(), debounced
-  //    by `stall_for_ns` so one slow scheduling quantum does not page.
+  //    holds work — the stall detector, debounced by `stall_for_ns` so
+  //    one slow scheduling quantum does not page.
   //  * "runtime.shard<i>.ring-depth" (warn): the ring depth stays
   //    above `ring_depth_threshold`, i.e. the producer is outrunning
   //    the worker and backpressure rejections are close.
@@ -230,9 +210,6 @@ class ShardedGatewayRuntime : public telemetry::MetricsSource {
   ShardedGateway* gateway_;
   std::vector<std::unique_ptr<PerShard>> shards_;
   std::atomic<bool> running_{false};
-  // check_stalls() baseline: heartbeat seen last call, one per shard.
-  std::vector<std::uint64_t> stall_baseline_;
-  std::vector<bool> stall_baselined_;
   telemetry::ScopedSource registration_;
 };
 

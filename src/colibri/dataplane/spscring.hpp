@@ -40,6 +40,13 @@ class SpscRing {
   // --- producer side ----------------------------------------------------
   bool try_push(const T& v) { return push_burst(&v, 1) == 1; }
 
+  // Elements held, as the producer sees it: exact after a push, and the
+  // consumer can only make it smaller.
+  std::size_t size() const {
+    return tail_.load(std::memory_order_relaxed) -
+           head_.load(std::memory_order_acquire);
+  }
+
   // Enqueues up to n items; returns how many fit.
   std::size_t push_burst(const T* items, std::size_t n) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);

@@ -1,5 +1,6 @@
 #include "colibri/reservation/persist.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <vector>
@@ -74,6 +75,29 @@ std::uint32_t crc32(BytesView data) {
     c = table[(c ^ b) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+void append_frame(Bytes& out, std::uint8_t kind, BytesView payload) {
+  const std::size_t head = out.size();
+  // One allocation for a fresh buffer, geometric growth for a long one.
+  const std::size_t need = head + 1 + 4 + payload.size() + 4;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
+  out.push_back(kind);
+  put_le(out, static_cast<std::uint32_t>(payload.size()));
+  append_bytes(out, payload);
+  put_le(out, crc32(BytesView(out.data() + head, out.size() - head)));
+}
+
+std::optional<Frame> next_frame(BytesView data, std::size_t& off) {
+  if (off > data.size() || data.size() - off < 1 + 4 + 4) return std::nullopt;
+  const std::uint32_t len = get_le<std::uint32_t>(data.data() + off + 1);
+  if (data.size() - off - (1 + 4 + 4) < len) return std::nullopt;  // torn
+  const BytesView head = data.subspan(off, 1 + 4 + len);
+  if (crc32(head) != get_le<std::uint32_t>(head.data() + head.size())) {
+    return std::nullopt;  // corrupt
+  }
+  off += head.size() + 4;
+  return Frame{head[0], head.subspan(1 + 4)};
 }
 
 void FileStorage::append(BytesView data) {
@@ -208,14 +232,7 @@ void ReservationWal::append_record(std::uint8_t kind, BytesView payload) {
 void ReservationWal::append_record_locked(std::uint8_t kind,
                                           BytesView payload) {
   Bytes frame;
-  frame.push_back(kind);
-  put_le(frame, static_cast<std::uint32_t>(payload.size()));
-  append_bytes(frame, payload);
-  // The CRC covers the whole frame head (kind + length + payload), not
-  // just the payload: a bit flip in the kind or length bytes is then
-  // rejected by the checksum instead of being misparsed as a different
-  // record type or a shifted frame boundary.
-  put_le(frame, crc32(BytesView(frame.data(), frame.size())));
+  append_frame(frame, kind, payload);
   storage_->append(frame);
 }
 
@@ -269,18 +286,9 @@ size_t ReservationWal::recover(ReservationDb& db) const {
   auto note_owner_id = [&](const ResKey& key) {
     if (key.src_as == db.owner()) db.reserve_ids_through(key.res_id);
   };
-  while (off + 1 + 4 + 4 <= log.size()) {
-    const std::uint8_t kind = log[off];
-    const std::uint32_t len = get_le<std::uint32_t>(log.data() + off + 1);
-    if (off + 1 + 4 + len + 4 > log.size()) break;  // torn tail
-    const BytesView payload(log.data() + off + 5, len);
-    const std::uint32_t stored_crc =
-        get_le<std::uint32_t>(log.data() + off + 5 + len);
-    if (crc32(BytesView(log.data() + off, 5 + len)) != stored_crc) {
-      break;  // corrupt record: stop
-    }
-
-    switch (kind) {
+  while (const std::optional<Frame> frame = next_frame(log, off)) {
+    const BytesView payload = frame->payload;
+    switch (frame->kind) {
       case kSegrUpsert: {
         auto rec = decode_segr_record(payload);
         if (!rec) return applied;
@@ -313,7 +321,6 @@ size_t ReservationWal::recover(ReservationDb& db) const {
         return applied;  // unknown kind: stop replay
     }
     ++applied;
-    off += 1 + 4 + len + 4;
   }
   return applied;
 }

@@ -2,8 +2,8 @@
 // transactional database").
 //
 // A write-ahead log of reservation mutations plus snapshot checkpoints:
-// every record is length-prefixed and CRC-protected (the checksum spans
-// the full frame — kind byte, length, payload — so a single bit flip
+// every record is one frame of the codec below (length-prefixed, with a
+// CRC spanning kind byte, length and payload, so a single bit flip
 // anywhere in a record is rejected), and recovery after a crash replays
 // the longest complete-record prefix, discarding a torn tail and
 // everything after the first corrupt record — a CServ restart restores
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "colibri/common/bytes.hpp"
@@ -23,6 +24,18 @@
 namespace colibri::reservation {
 
 std::uint32_t crc32(BytesView data);
+
+// The framed-log codec of the WAL and the telemetry history store:
+// kind byte, u32 LE payload length, payload, u32 LE CRC-32 over all
+// three — a flipped bit anywhere, length included, fails the CRC.
+struct Frame {
+  std::uint8_t kind = 0;
+  BytesView payload;
+};
+void append_frame(Bytes& out, std::uint8_t kind, BytesView payload);
+// The frame at `data[off...]`, advancing `off` past it; nullopt (and
+// `off` untouched) on a torn or corrupt frame.
+std::optional<Frame> next_frame(BytesView data, std::size_t& off);
 
 // Where log bytes go / come from.
 class LogStorage {

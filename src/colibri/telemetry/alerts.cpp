@@ -74,9 +74,8 @@ std::pair<double, bool> AlertEngine::signal_value(const AlertRule& rule) const {
 
 bool AlertEngine::guard_allows(const AlertRule& rule) const {
   if (!rule.has_guard()) return true;
-  const bool prefix =
-      !rule.guard_series.empty() && rule.guard_series.back() == '.';
-  const auto g = sampler_->gauge_level(rule.guard_series, prefix);
+  const auto g = sampler_->gauge_level(rule.guard_series,
+                                      is_prefix_series(rule.guard_series));
   if (!g.has_value()) return false;
   return compare(static_cast<double>(*g), rule.guard_cmp,
                  rule.guard_threshold);
@@ -85,11 +84,10 @@ bool AlertEngine::guard_allows(const AlertRule& rule) const {
 std::pair<std::uint64_t, std::uint64_t> AlertEngine::slo_counts(
     const Slo& slo, TimeNs span_ns) const {
   if (slo.kind == Slo::Kind::kFraction) {
-    const bool bad_prefix = !slo.series.empty() && slo.series.back() == '.';
-    const bool total_prefix =
-        !slo.total_series.empty() && slo.total_series.back() == '.';
-    return {sampler_->counter_delta(slo.series, span_ns, bad_prefix),
-            sampler_->counter_delta(slo.total_series, span_ns, total_prefix)};
+    return {sampler_->counter_delta(slo.series, span_ns,
+                                    is_prefix_series(slo.series)),
+            sampler_->counter_delta(slo.total_series, span_ns,
+                                    is_prefix_series(slo.total_series))};
   }
   // kLatency: events in buckets strictly above the threshold are bad.
   // Bucket i holds [2^(i-1), 2^i - 1]; it is entirely bad when its

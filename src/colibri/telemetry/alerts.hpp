@@ -75,9 +75,7 @@ struct AlertRule {
   double guard_threshold = 0;
 
   bool has_guard() const { return !guard_series.empty(); }
-  bool series_is_prefix() const {
-    return !series.empty() && series.back() == '.';
-  }
+  bool series_is_prefix() const { return is_prefix_series(series); }
 };
 
 enum class AlertState : std::uint8_t { kInactive = 0, kPending, kFiring };

@@ -17,13 +17,15 @@ const char* severity_name(Severity s) {
   return "info";
 }
 
-std::string Event::to_json() const {
+std::string Event::to_json(bool with_seq) const {
   std::string out;
   out.reserve(128 + 32 * fields.size());
   out += "{\"time_ns\":";
   out += std::to_string(time_ns);
-  out += ",\"seq\":";
-  out += std::to_string(seq);
+  if (with_seq) {
+    out += ",\"seq\":";
+    out += std::to_string(seq);
+  }
   out += ",\"severity\":\"";
   out += severity_name(severity);
   out += "\",\"component\":";

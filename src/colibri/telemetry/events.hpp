@@ -61,7 +61,9 @@ struct Event {
   // One JSON object, no trailing newline:
   // {"time_ns":..,"seq":..,"severity":"info","component":"cserv",
   //  "name":"..","fields":{"k":v,...}}
-  std::string to_json() const;
+  // with_seq = false leaves out the process-global seq, the only field
+  // that differs between same-seed runs (byte-stable incident bundles).
+  std::string to_json(bool with_seq = true) const;
   // Parses exactly the subset to_json() emits (schema round-trip).
   static std::optional<Event> from_json(std::string_view line);
 

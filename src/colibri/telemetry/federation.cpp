@@ -19,8 +19,7 @@ FleetCollector::FleetCollector(const Clock& clock, FleetCollectorConfig cfg,
 void FleetCollector::add_member(std::string name,
                                 const MetricsRegistry& registry) {
   std::lock_guard lock(mu_);
-  members_.push_back(Member{name, &registry, {}, {}});
-  names_.push_back(std::move(name));
+  members_.push_back(Member{std::move(name), &registry, {}, {}});
 }
 
 void FleetCollector::add_link(std::string name, std::string_view member_a,
@@ -47,18 +46,28 @@ void FleetCollector::add_rollup(std::string series) {
   }
 }
 
-const std::string* FleetCollector::match_rollup(std::string_view name) const {
+namespace {
+
+bool has_prefix(std::string_view name, std::string_view prefix) {
+  return name.size() > prefix.size() && name.starts_with(prefix);
+}
+
+// A rollup family registered as "router.drop." answers queries for
+// both "router.drop." and "router.drop".
+bool family_matches(std::string_view family, std::string_view query) {
+  if (family == query) return true;
+  return is_prefix_series(family) &&
+         family.substr(0, family.size() - 1) == query;
+}
+
+}  // namespace
+
+bool FleetCollector::rolled_up(std::string_view name) const {
   for (const std::string& r : rollups_) {
-    if (r.empty()) continue;
-    if (r.back() == '.') {
-      if (name.size() > r.size() && name.compare(0, r.size(), r) == 0) {
-        return &r;
-      }
-    } else if (name == r) {
-      return &r;
-    }
+    if (is_prefix_series(r) ? has_prefix(name, r) : name == r) return true;
   }
-  return nullptr;
+  return !cfg_.reservation_prefix.empty() &&
+         has_prefix(name, cfg_.reservation_prefix);
 }
 
 void FleetCollector::sketch_add(const std::string& key, std::uint64_t delta) {
@@ -85,123 +94,104 @@ void FleetCollector::sketch_add(const std::string& key, std::uint64_t delta) {
 
 bool FleetCollector::poll() {
   const TimeNs now = clock_->now_ns();
-  {
-    const TimeNs last = last_end_ns_.load(std::memory_order_relaxed);
-    std::lock_guard lock(mu_);
-    if (have_baseline_ && now - last < cfg_.period_ns) return false;
-  }
-
   // Snapshot every member registry *outside* mu_: a member may double
   // as the export registry, and its snapshot() re-enters
   // collect_metrics() below, which takes mu_.
-  std::vector<std::pair<std::size_t, const MetricsRegistry*>> regs;
+  std::vector<const MetricsRegistry*> regs;
   {
     std::lock_guard lock(mu_);
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      regs.emplace_back(i, members_[i].registry);
-    }
+    if (have_baseline_ && now - last_end_ns_ < cfg_.period_ns) return false;
+    for (const Member& m : members_) regs.push_back(m.registry);
   }
   std::vector<MetricsSnapshot> snaps;
   snaps.reserve(regs.size());
-  for (const auto& [_, reg] : regs) snaps.push_back(reg->snapshot());
+  for (const MetricsRegistry* reg : regs) snaps.push_back(reg->snapshot());
 
   std::lock_guard lock(mu_);
-  const TimeNs start = last_end_ns_.load(std::memory_order_relaxed);
+  const TimeNs start = last_end_ns_;
   if (have_baseline_ && now - start < cfg_.period_ns) return false;
 
-  SampleWindow w;
-  w.start_ns = start;
-  w.end_ns = now;
+  std::vector<std::uint64_t> fleet(rollups_.size());  // per-family deltas
   // Per-window heavy-hitter deltas, summed across members before the
   // sketch sees them (a reservation crossing 5 ASes is one hitter).
   std::map<std::string, std::uint64_t> res_deltas;
+  const std::string& res = cfg_.reservation_prefix;
 
   for (std::size_t s = 0; s < snaps.size(); ++s) {
-    Member& m = members_[regs[s].first];
-    m.last_deltas.clear();
-    for (const auto& [name, cur] : snaps[s].counters) {
-      const std::string* family = match_rollup(name);
-      const bool is_res =
-          !cfg_.reservation_prefix.empty() &&
-          name.size() > cfg_.reservation_prefix.size() &&
-          name.compare(0, cfg_.reservation_prefix.size(),
-                       cfg_.reservation_prefix) == 0;
-      if (family == nullptr && !is_res) continue;
-
-      std::uint64_t delta = cur;
-      if (auto it = m.prev.find(name); it != m.prev.end()) {
-        // A counter that shrank (component reset) restarts the delta
-        // from its new value, matching WindowedSampler.
-        delta = cur >= it->second ? cur - it->second : cur;
-        it->second = cur;
-      } else if (tracked_ < cfg_.max_tracked_series) {
-        m.prev.emplace(name, cur);
+    Member& m = members_[s];
+    // The budget is part of the series filter: a remembered series
+    // stays, a new one enters while the fleet-wide budget lasts, and
+    // beyond it the series is dropped and counted instead of being
+    // folded into the rollup with bogus deltas.
+    const std::size_t others = tracked_ - m.prev.counters.size();
+    const auto track = [&](std::string_view name) {
+      if (!rolled_up(name)) return false;
+      if (tracked_ < cfg_.max_tracked_series) {
         ++tracked_;
-      } else {
-        // Over budget: the series is not silently folded into the
-        // rollup with bogus deltas — it is dropped and counted.
-        ++dropped_;
-        continue;
+        return true;
       }
-      if (!have_baseline_) continue;  // first poll: baseline only
+      ++dropped_;
+      return false;
+    };
+    snaps[s].gauges.clear();  // the fleet rolls up counters only
+    snaps[s].histograms.clear();
+    const SampleWindow d =
+        cut_window(m.prev, std::move(snaps[s]), start, now, track);
+    tracked_ = others + m.prev.counters.size();
+    if (!have_baseline_) continue;  // first poll: baseline only
 
-      if (family != nullptr) {
-        w.counter_deltas[*family] += delta;
-        m.last_deltas[*family] += delta;
-      }
-      if (is_res) {
-        const std::size_t key_start = cfg_.reservation_prefix.size();
-        const std::size_t dot = name.find('.', key_start);
-        res_deltas[name.substr(key_start, dot == std::string::npos
-                                              ? std::string::npos
-                                              : dot - key_start)] += delta;
-      }
+    const SampleWindow* member_window[] = {&d};
+    m.last.resize(rollups_.size());
+    for (std::size_t f = 0; f < rollups_.size(); ++f) {
+      m.last[f] = counter_sum(member_window, rollups_[f],
+                              is_prefix_series(rollups_[f]));
+      fleet[f] += m.last[f];
+    }
+    if (res.empty()) continue;
+    // "<res><id>.<rest>" feeds the sketch under <id>.
+    for (auto it = d.counter_deltas.lower_bound(res);
+         it != d.counter_deltas.end() && it->first.starts_with(res); ++it) {
+      const std::size_t dot = it->first.find('.', res.size());
+      res_deltas[it->first.substr(res.size(), dot - res.size())] += it->second;
     }
   }
 
-  last_end_ns_.store(now, std::memory_order_relaxed);
+  last_end_ns_ = now;
   if (!have_baseline_) {
     have_baseline_ = true;
     return false;
   }
   for (const auto& [key, delta] : res_deltas) sketch_add(key, delta);
+  SampleWindow w;
+  w.start_ns = start;
+  w.end_ns = now;
+  for (std::size_t f = 0; f < rollups_.size(); ++f) {
+    w.counter_deltas.emplace(rollups_[f], fleet[f]);
+  }
   ring_.push_back(std::move(w));
   while (ring_.size() > cfg_.ring_capacity) ring_.pop_front();
   ++windows_sampled_;
   return true;
 }
 
-namespace {
-
-// A rollup family registered as "router.drop." answers queries for
-// both "router.drop." and "router.drop".
-bool family_matches(std::string_view family, std::string_view query) {
-  if (family == query) return true;
-  return !family.empty() && family.back() == '.' &&
-         family.substr(0, family.size() - 1) == query;
+std::uint64_t FleetCollector::family_sum(
+    const std::vector<std::uint64_t>& deltas, std::string_view query) const {
+  std::uint64_t sum = 0;
+  for (std::size_t f = 0; f < deltas.size(); ++f) {
+    if (family_matches(rollups_[f], query)) sum += deltas[f];
+  }
+  return sum;
 }
-
-double rate_of(std::uint64_t delta, TimeNs elapsed_ns) {
-  if (elapsed_ns <= 0) return 0.0;
-  return static_cast<double>(delta) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(elapsed_ns);
-}
-
-}  // namespace
 
 double FleetCollector::fleet_rate(std::string_view series,
                                   TimeNs span_ns) const {
   std::lock_guard lock(mu_);
+  const auto ws = newest_span(ring_, span_ns);
   std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    if (elapsed >= span_ns) break;
-    elapsed += it->elapsed_ns();
-    for (const auto& [family, d] : it->counter_deltas) {
-      if (family_matches(family, series)) delta += d;
-    }
+  for (const std::string& family : rollups_) {
+    if (family_matches(family, series)) delta += counter_sum(ws, family, false);
   }
-  return rate_of(delta, elapsed);
+  return per_second(delta, elapsed_sum(ws));
 }
 
 double FleetCollector::as_rate(std::string_view member,
@@ -210,11 +200,7 @@ double FleetCollector::as_rate(std::string_view member,
   if (ring_.empty()) return 0.0;
   for (const Member& m : members_) {
     if (m.name != member) continue;
-    std::uint64_t delta = 0;
-    for (const auto& [family, d] : m.last_deltas) {
-      if (family_matches(family, series)) delta += d;
-    }
-    return rate_of(delta, ring_.back().elapsed_ns());
+    return per_second(family_sum(m.last, series), ring_.back().elapsed_ns());
   }
   return 0.0;
 }
@@ -225,19 +211,19 @@ double FleetCollector::link_rate(std::string_view link,
   if (ring_.empty()) return 0.0;
   for (const Link& l : links_) {
     if (l.name != link) continue;
-    std::uint64_t delta = 0;
-    for (const std::size_t idx : {l.a, l.b}) {
-      for (const auto& [family, d] : members_[idx].last_deltas) {
-        if (family_matches(family, series)) delta += d;
-      }
-    }
-    return rate_of(delta, ring_.back().elapsed_ns());
+    return per_second(family_sum(members_[l.a].last, series) +
+                          family_sum(members_[l.b].last, series),
+                      ring_.back().elapsed_ns());
   }
   return 0.0;
 }
 
 std::vector<FleetTopEntry> FleetCollector::top_hitters() const {
   std::lock_guard lock(mu_);
+  return ranked_locked();
+}
+
+std::vector<FleetTopEntry> FleetCollector::ranked_locked() const {
   std::vector<FleetTopEntry> out;
   out.reserve(sketch_.size());
   for (const auto& [key, e] : sketch_) {
@@ -291,33 +277,18 @@ void FleetCollector::collect_metrics(MetricSink& sink) const {
   sink.gauge("fleet.top.count", static_cast<std::int64_t>(sketch_.size()));
 
   // Whole-ring rate per rollup family, rounded: fleet.rate.<family>.
+  const auto ring = newest_span(ring_, WindowedSampler::kSpanAll);
   for (const std::string& family : rollups_) {
-    std::uint64_t delta = 0;
-    TimeNs elapsed = 0;
-    for (const SampleWindow& w : ring_) {
-      elapsed += w.elapsed_ns();
-      if (auto it = w.counter_deltas.find(family);
-          it != w.counter_deltas.end()) {
-        delta += it->second;
-      }
-    }
     std::string name = "fleet.rate.";
-    name.append(family.back() == '.' ? family.substr(0, family.size() - 1)
-                                     : family);
+    name.append(is_prefix_series(family) ? family.substr(0, family.size() - 1)
+                                         : family);
     sink.gauge(name,
-               static_cast<std::int64_t>(rate_of(delta, elapsed) + 0.5));
+               static_cast<std::int64_t>(rate(ring, family, false) + 0.5));
   }
 
   // Ranked heavy-hitter magnitudes (keys stay on the query API — rank
   // names keep exposition cardinality at top_k).
-  std::vector<FleetTopEntry> top;
-  top.reserve(sketch_.size());
-  for (const auto& [key, e] : sketch_) top.push_back({key, e.count, e.error});
-  std::sort(top.begin(), top.end(),
-            [](const FleetTopEntry& x, const FleetTopEntry& y) {
-              if (x.estimate != y.estimate) return x.estimate > y.estimate;
-              return x.key < y.key;
-            });
+  const std::vector<FleetTopEntry> top = ranked_locked();
   for (std::size_t i = 0; i < top.size(); ++i) {
     sink.gauge("fleet.top." + std::to_string(i + 1) + ".estimate",
                static_cast<std::int64_t>(top[i].estimate));

@@ -5,14 +5,15 @@
 // plane, one sampler per registry. A topology-wide question — "what is
 // the whole fleet admitting per second", "which reservation consumes
 // the most bandwidth anywhere" — needs a collector that visits every
-// AS's registry, takes snapshot deltas (the same delta machinery
-// WindowedSampler applies to a single registry), and rolls the deltas
-// up hierarchically: per-AS -> per-link -> fleet.
+// AS's registry, cuts a counter window from each (window.hpp's delta
+// rule, the one WindowedSampler applies to a single registry), and
+// rolls the deltas up hierarchically: per-AS -> per-link -> fleet.
 //
 // Memory is bounded by construction: the collector remembers previous
 // values only for series it actually rolls up (the registered rollup
 // families plus per-reservation counters under `reservation_prefix`),
-// capped fleet-wide at `max_tracked_series`. Series beyond the budget
+// capped fleet-wide at `max_tracked_series` — together the series
+// filter each member's window is cut with. Series beyond the budget
 // are dropped *and counted* (fleet.series_dropped) — a truncated view
 // must never read as a complete one. Per-reservation counters feed a
 // space-saving top-K sketch, so fleet-wide heavy hitters surface with
@@ -27,7 +28,6 @@
 // the ordinary JSON-snapshot / OpenMetrics pipeline.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -39,6 +39,7 @@
 #include "colibri/common/clock.hpp"
 #include "colibri/telemetry/metrics.hpp"
 #include "colibri/telemetry/timeseries.hpp"
+#include "colibri/telemetry/window.hpp"
 
 namespace colibri::telemetry {
 
@@ -86,7 +87,7 @@ class FleetCollector : public MetricsSource {
   void add_link(std::string name, std::string_view member_a,
                 std::string_view member_b);
   // Registers a counter family to roll up (trailing '.' = prefix sum,
-  // e.g. "router.drop.").
+  // e.g. "router.drop."). Each family sums independently.
   void add_rollup(std::string series);
 
   // Cuts a new fleet window if at least one period elapsed; the first
@@ -112,7 +113,6 @@ class FleetCollector : public MetricsSource {
   std::uint64_t windows_sampled() const;  // total since construction
   std::size_t tracked_series() const;     // prev-value entries, fleet-wide
   std::uint64_t dropped_series() const;   // budget-exceeded drops
-  const std::vector<std::string>& member_names() const { return names_; }
 
   // fleet.as_count, fleet.link_count, fleet.windows, fleet.series_*,
   // fleet.top.*, and one fleet.rate.<family> gauge per rollup family.
@@ -123,9 +123,9 @@ class FleetCollector : public MetricsSource {
     std::string name;
     const MetricsRegistry* registry = nullptr;
     // Previous values of matched series only (the memory budget).
-    std::map<std::string, std::uint64_t> prev;
-    // Latest-window delta per rollup family.
-    std::map<std::string, std::uint64_t> last_deltas;
+    MetricsSnapshot prev;
+    // Latest-window delta per rollup family, in rollups_ order.
+    std::vector<std::uint64_t> last;
   };
   struct Link {
     std::string name;
@@ -137,19 +137,23 @@ class FleetCollector : public MetricsSource {
     std::uint64_t error = 0;
   };
 
-  // Rollup family the counter belongs to, or nullptr.
-  const std::string* match_rollup(std::string_view name) const;
+  // True when the counter belongs to a rollup family or is a
+  // per-reservation counter.
+  bool rolled_up(std::string_view name) const;
+  // Sum of the per-family `deltas` whose family answers `query`.
+  std::uint64_t family_sum(const std::vector<std::uint64_t>& deltas,
+                           std::string_view query) const;
   // Space-saving update: admit `key` with weight `delta`.
   void sketch_add(const std::string& key, std::uint64_t delta);
+  // Sketch entries, highest estimate first (ties broken by key).
+  std::vector<FleetTopEntry> ranked_locked() const;
 
   const Clock* clock_;
   FleetCollectorConfig cfg_;
 
-  std::atomic<TimeNs> last_end_ns_;
-
   mutable std::mutex mu_;
-  std::vector<Member> members_;
-  std::vector<std::string> names_;  // member names, registration order
+  TimeNs last_end_ns_;  // end of the newest window (or the baseline)
+  std::vector<Member> members_;  // registration order
   std::vector<Link> links_;
   std::vector<std::string> rollups_;
   bool have_baseline_ = false;

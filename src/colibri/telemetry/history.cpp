@@ -41,6 +41,15 @@ std::optional<std::uint64_t> segment_index(std::string_view name) {
   return v;
 }
 
+// Half-open span semantics: a window counts when it overlaps (since,
+// until) with nonzero measure — a window *ending* exactly at `since` or
+// *starting* exactly at `until` contributes nothing to the span and is
+// excluded, so adjacent spans partition the timeline without double
+// counting.
+bool overlaps(const SampleWindow& w, TimeNs since_ns, TimeNs until_ns) {
+  return w.end_ns > since_ns && w.start_ns < until_ns;
+}
+
 // --- varints ----------------------------------------------------------------
 
 void put_varint(Bytes& out, std::uint64_t v) {
@@ -180,38 +189,24 @@ Bytes encode_history_frame(const SampleWindow& w, HistoryCodecState& state) {
   state.prev_end_ns = w.end_ns;
   state.first = false;
 
-  // Frame head: kind, u32 length, payload; CRC spans the whole head so
-  // damage anywhere in the frame — length byte included — is rejected.
   Bytes frame;
-  frame.reserve(1 + 4 + payload.size() + 4);
-  frame.push_back(kWindowFrame);
-  put_le<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-  append_bytes(frame, payload);
-  put_le<std::uint32_t>(frame, reservation::crc32(frame));
+  reservation::append_frame(frame, kWindowFrame, payload);
   return frame;
 }
 
 std::optional<SampleWindow> decode_history_frame(BytesView data,
                                                  std::size_t& off,
                                                  HistoryCodecState& state) {
-  if (data.size() - off < 1 + 4 + 4) return std::nullopt;
-  const std::uint8_t kind = data[off];
-  const std::uint32_t len = get_le<std::uint32_t>(data.data() + off + 1);
-  if (data.size() - off < 1 + 4 + static_cast<std::size_t>(len) + 4) {
-    return std::nullopt;
-  }
-  const std::uint32_t stored =
-      get_le<std::uint32_t>(data.data() + off + 1 + 4 + len);
-  if (reservation::crc32(data.subspan(off, 1 + 4 + len)) != stored) {
-    return std::nullopt;
-  }
-  if (kind != kWindowFrame) return std::nullopt;
+  std::size_t next = off;
+  const std::optional<reservation::Frame> frame =
+      reservation::next_frame(data, next);
+  if (!frame || frame->kind != kWindowFrame) return std::nullopt;
 
   // The CRC passed, so the payload is exactly what the writer framed;
   // a decode failure past this point (truncated varint, dictionary
   // gap) still returns nullopt and the caller discards the suffix.
   HistoryCodecState tentative = state;
-  PayloadReader r{data.subspan(off + 1 + 4, len)};
+  PayloadReader r{frame->payload};
   SampleWindow w;
   const std::int64_t start_delta = r.svarint();
   w.start_ns = tentative.first ? start_delta
@@ -251,12 +246,12 @@ std::optional<SampleWindow> decode_history_frame(BytesView data,
     }
     if (r.ok) w.histogram_deltas.emplace(std::move(name), h);
   }
-  if (!r.ok || r.pos != len) return std::nullopt;
+  if (!r.ok || r.pos != frame->payload.size()) return std::nullopt;
 
   tentative.prev_end_ns = w.end_ns;
   tentative.first = false;
   state = std::move(tentative);
-  off += 1 + 4 + static_cast<std::size_t>(len) + 4;
+  off = next;
   return w;
 }
 
@@ -434,33 +429,23 @@ bool HistoryStore::append_latest(const WindowedSampler& sampler) {
   return true;
 }
 
-namespace {
-
-// Half-open span semantics: a window counts when it overlaps (since,
-// until) with nonzero measure — a window *ending* exactly at `since` or
-// *starting* exactly at `until` contributes nothing to the span and is
-// excluded, so adjacent spans partition the timeline without double
-// counting.
-bool overlaps(const SampleWindow& w, TimeNs since_ns, TimeNs until_ns) {
-  return w.end_ns > since_ns && w.start_ns < until_ns;
+std::vector<const SampleWindow*> HistoryStore::span_locked(
+    TimeNs since_ns, TimeNs until_ns) const {
+  std::vector<const SampleWindow*> out;
+  for (const Segment& seg : segments_) {
+    for (const SampleWindow& w : seg.windows) {
+      if (overlaps(w, since_ns, until_ns)) out.push_back(&w);
+    }
+  }
+  return out;
 }
-
-bool series_matches(std::string_view name, std::string_view series,
-                    bool prefix) {
-  return prefix ? name.substr(0, series.size()) == series : name == series;
-}
-
-}  // namespace
 
 std::vector<SampleWindow> HistoryStore::windows(TimeNs since_ns,
                                                 TimeNs until_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
+  const auto span = span_locked(since_ns, until_ns);
   std::vector<SampleWindow> out;
-  for (const Segment& seg : segments_) {
-    for (const SampleWindow& w : seg.windows) {
-      if (overlaps(w, since_ns, until_ns)) out.push_back(w);
-    }
-  }
+  for (const SampleWindow* w : span) out.push_back(*w);
   return out;
 }
 
@@ -468,70 +453,20 @@ std::uint64_t HistoryStore::counter_delta(std::string_view series,
                                           TimeNs since_ns, TimeNs until_ns,
                                           bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t sum = 0;
-  for (const Segment& seg : segments_) {
-    for (const SampleWindow& w : seg.windows) {
-      if (!overlaps(w, since_ns, until_ns)) continue;
-      if (prefix) {
-        for (auto it = w.counter_deltas.lower_bound(std::string(series));
-             it != w.counter_deltas.end() &&
-             series_matches(it->first, series, true);
-             ++it) {
-          sum += it->second;
-        }
-      } else if (auto it = w.counter_deltas.find(std::string(series));
-                 it != w.counter_deltas.end()) {
-        sum += it->second;
-      }
-    }
-  }
-  return sum;
+  return counter_sum(span_locked(since_ns, until_ns), series, prefix);
 }
 
 double HistoryStore::rate(std::string_view series, TimeNs since_ns,
                           TimeNs until_ns, bool prefix) const {
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Segment& seg : segments_) {
-      for (const SampleWindow& w : seg.windows) {
-        if (!overlaps(w, since_ns, until_ns)) continue;
-        elapsed += w.elapsed_ns();
-        if (prefix) {
-          for (auto it = w.counter_deltas.lower_bound(std::string(series));
-               it != w.counter_deltas.end() &&
-               series_matches(it->first, series, true);
-               ++it) {
-            delta += it->second;
-          }
-        } else if (auto it = w.counter_deltas.find(std::string(series));
-                   it != w.counter_deltas.end()) {
-          delta += it->second;
-        }
-      }
-    }
-  }
-  if (elapsed <= 0) return 0.0;
-  return static_cast<double>(delta) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(elapsed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return telemetry::rate(span_locked(since_ns, until_ns), series, prefix);
 }
 
 HistogramSnapshot HistoryStore::histogram_delta(std::string_view series,
                                                 TimeNs since_ns,
                                                 TimeNs until_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  HistogramSnapshot merged;
-  for (const Segment& seg : segments_) {
-    for (const SampleWindow& w : seg.windows) {
-      if (!overlaps(w, since_ns, until_ns)) continue;
-      if (auto it = w.histogram_deltas.find(std::string(series));
-          it != w.histogram_deltas.end()) {
-        merged.merge(it->second);
-      }
-    }
-  }
-  return merged;
+  return histogram_merge(span_locked(since_ns, until_ns), series);
 }
 
 std::optional<double> HistoryStore::percentile(std::string_view series,
@@ -547,28 +482,7 @@ std::optional<std::int64_t> HistoryStore::gauge_level(std::string_view series,
                                                       TimeNs until_ns,
                                                       bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Newest window in the span wins, matching the sampler's "latest
-  // sampled level" semantics.
-  for (auto seg = segments_.rbegin(); seg != segments_.rend(); ++seg) {
-    for (auto w = seg->windows.rbegin(); w != seg->windows.rend(); ++w) {
-      if (w->end_ns < since_ns || w->start_ns > until_ns) continue;
-      if (!prefix) {
-        if (auto it = w->gauges.find(std::string(series));
-            it != w->gauges.end()) {
-          return it->second;
-        }
-        continue;
-      }
-      std::optional<std::int64_t> best;
-      for (auto it = w->gauges.lower_bound(std::string(series));
-           it != w->gauges.end() && series_matches(it->first, series, true);
-           ++it) {
-        best = best ? std::max(*best, it->second) : it->second;
-      }
-      if (best) return best;
-    }
-  }
-  return std::nullopt;
+  return latest_gauge(span_locked(since_ns, until_ns), series, prefix);
 }
 
 std::size_t HistoryStore::window_count() const {

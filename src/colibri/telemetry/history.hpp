@@ -1,13 +1,13 @@
 // Persistent telemetry history: an append-only time-series log of
 // WindowedSampler windows that survives the process (post-mortem
-// forensics, ISSUE 10).
+// forensics).
 //
 // The live monitoring plane (timeseries.hpp, alerts.hpp) dies with the
 // process — exactly when a kill-and-restore chaos run needs it most. A
 // HistoryStore makes the window ring durable: every cut SampleWindow is
-// encoded as one compact binary frame (kind byte, u32 length, payload,
-// u32 CRC spanning the whole head — the same framing discipline as the
-// reservation WAL in reservation/persist) and appended to the current
+// encoded as one compact binary frame (reservation/persist's frame
+// codec, the one the reservation WAL writes: kind byte, u32 length,
+// payload, u32 CRC spanning the whole head) and appended to the current
 // *segment*. Segments rotate by size and by age, old segments are
 // compacted away by retention (count- and time-based), and recovery
 // after a crash replays, per segment, the longest intact frame prefix —
@@ -28,9 +28,10 @@
 // Everything is Clock-free: timestamps come from the windows
 // themselves, so a SimClock scenario writes a bit-identical store on
 // every same-seed run. Queries (`counter_delta`, `rate`, `percentile`,
-// `gauge_level`) mirror the WindowedSampler's semantics but take
-// absolute [since, until] spans, answering "what was the admission rate
-// between t1 and t2" for a store written by a process that is gone.
+// `gauge_level`) are window.hpp's span aggregations, as in the
+// WindowedSampler, over the windows overlapping an absolute half-open
+// span [since, until), answering "what was the admission rate between
+// t1 and t2" for a store written by a process that is gone.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,7 @@
 #include "colibri/reservation/persist.hpp"
 #include "colibri/telemetry/metrics.hpp"
 #include "colibri/telemetry/timeseries.hpp"
+#include "colibri/telemetry/window.hpp"
 
 namespace colibri::telemetry {
 
@@ -169,9 +171,11 @@ class HistoryStore : public MetricsSource {
   bool append_latest(const WindowedSampler& sampler);
 
   // --- queries (absolute spans; until = kUntilEnd reads to the end) -------
+  // A window belongs to [since, until) when it overlaps it with nonzero
+  // measure, so adjacent spans partition the timeline.
   static constexpr TimeNs kUntilEnd = std::numeric_limits<TimeNs>::max();
 
-  // Windows overlapping [since, until], oldest first.
+  // Windows overlapping [since, until), oldest first.
   std::vector<SampleWindow> windows(TimeNs since_ns = 0,
                                     TimeNs until_ns = kUntilEnd) const;
   // Counter increment summed over the span (`prefix` sums every series
@@ -208,6 +212,9 @@ class HistoryStore : public MetricsSource {
     TimeNs last_end_ns = 0;
   };
 
+  // Windows overlapping [since, until), oldest first.
+  std::vector<const SampleWindow*> span_locked(TimeNs since_ns,
+                                               TimeNs until_ns) const;
   void rotate_locked(TimeNs first_start_ns);
   void compact_locked(TimeNs newest_end_ns);
   void recover_locked();

@@ -6,101 +6,56 @@
 #include <filesystem>
 #include <system_error>
 
+#include "colibri/reservation/persist.hpp"
+
 namespace colibri::telemetry {
 namespace {
 
-// One canonical event object: Event::to_json() minus the process-global
-// seq, which is the only field that differs between bit-identical
-// same-seed runs (the chaos harness's canonical history makes the same
-// exclusion). Bundles must be byte-stable to be diffable evidence.
-std::string event_json_no_seq(const Event& ev) {
-  std::string out;
-  out += "{\"time_ns\":";
-  out += std::to_string(ev.time_ns);
-  out += ",\"severity\":\"";
-  out += severity_name(ev.severity);
-  out += "\",\"component\":";
-  append_json_string(out, ev.component);
-  out += ",\"name\":";
-  append_json_string(out, ev.name);
-  out += ",\"fields\":{";
+// Appends `items` as a JSON array, each element written by `item`.
+template <typename Range, typename Fn>
+void append_list(std::string& out, const Range& items, Fn item) {
+  out.push_back('[');
   bool first = true;
-  for (const EventField& f : ev.fields) {
+  for (const auto& x : items) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, f.key);
-    out.push_back(':');
-    switch (f.kind) {
-      case EventField::Kind::kU64: out += std::to_string(f.u); break;
-      case EventField::Kind::kI64: out += std::to_string(f.i); break;
-      case EventField::Kind::kStr: append_json_string(out, f.s); break;
-    }
-  }
-  out += "}}";
-  return out;
-}
-
-// JSONL -> JSON array (flight-recorder export reuse).
-std::string jsonl_to_array(const std::string& jsonl) {
-  std::string out = "[";
-  bool first = true;
-  std::size_t start = 0;
-  while (start < jsonl.size()) {
-    std::size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    if (end > start) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.append(jsonl, start, end - start);
-    }
-    start = end + 1;
+    item(x);
   }
   out.push_back(']');
-  return out;
+}
+
+// Appends name-keyed `entries` as a JSON object, each value written by
+// `value`.
+template <typename Entries, typename Fn>
+void append_object(std::string& out, const Entries& entries, Fn value) {
+  out.push_back('{');
+  bool first = true;
+  for (const auto& [name, v] : entries) {
+    if (!first) out.push_back(',');
+    first = false;
+    append_json_string(out, name);
+    out.push_back(':');
+    value(v);
+  }
+  out.push_back('}');
 }
 
 std::string window_json(const SampleWindow& w) {
-  std::string out = "{\"start_ns\":";
-  out += std::to_string(w.start_ns);
-  out += ",\"end_ns\":";
-  out += std::to_string(w.end_ns);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, delta] : w.counter_deltas) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += std::to_string(delta);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, level] : w.gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += std::to_string(level);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : w.histogram_deltas) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out += ":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    out += std::to_string(h.sum);
-    out += ",\"p50\":";
-    out += std::to_string(static_cast<std::int64_t>(std::llround(
-        h.percentile(0.50))));
-    out += ",\"p99\":";
-    out += std::to_string(static_cast<std::int64_t>(std::llround(
-        h.percentile(0.99))));
-    out += '}';
-  }
-  out += "}}";
+  std::string out = "{\"start_ns\":" + std::to_string(w.start_ns) +
+                    ",\"end_ns\":" + std::to_string(w.end_ns) +
+                    ",\"counters\":";
+  const auto number = [&](auto v) { out += std::to_string(v); };
+  append_object(out, w.counter_deltas, number);
+  out += ",\"gauges\":";
+  append_object(out, w.gauges, number);
+  out += ",\"histograms\":";
+  append_object(out, w.histogram_deltas, [&](const HistogramSnapshot& h) {
+    out += "{\"count\":" + std::to_string(h.count) +
+           ",\"sum\":" + std::to_string(h.sum) + ",\"p50\":" +
+           std::to_string(std::llround(h.percentile(0.50))) + ",\"p99\":" +
+           std::to_string(std::llround(h.percentile(0.99))) + '}';
+  });
+  out += '}';
   return out;
 }
 
@@ -224,24 +179,18 @@ std::string IncidentRecorder::capture_locked(const AlertTransition& t) {
   out += "\"time_ns\": " + std::to_string(t.time_ns) + ",\n";
   out += "\"trigger\": " + transition_json(t) + ",\n";
 
-  out += "\"suppressed\": [";
-  bool first = true;
-  for (const auto& [when, rule] : suppressed_pending_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"time_ns\":" + std::to_string(when) + ",\"rule\":";
-    append_json_string(out, rule);
+  out += "\"suppressed\": ";
+  append_list(out, suppressed_pending_, [&](const auto& edge) {
+    out += "{\"time_ns\":" + std::to_string(edge.first) + ",\"rule\":";
+    append_json_string(out, edge.second);
     out.push_back('}');
-  }
-  out += "],\n";
+  });
+  out += ",\n";
 
   // Full rule/SLO state at the edge — the engine dispatches observers
   // without its lock held, so these queries are safe from here.
-  out += "\"alerts\": [";
-  first = true;
-  for (const AlertStatus& st : engine_->status()) {
-    if (!first) out.push_back(',');
-    first = false;
+  out += "\"alerts\": ";
+  append_list(out, engine_->status(), [&](const AlertStatus& st) {
     out += "{\"name\":";
     append_json_string(out, st.name);
     out += ",\"state\":\"";
@@ -257,14 +206,11 @@ std::string IncidentRecorder::capture_locked(const AlertTransition& t) {
     out += ",\"times_fired\":";
     out += std::to_string(st.times_fired);
     out.push_back('}');
-  }
-  out += "],\n";
+  });
+  out += ",\n";
 
-  out += "\"slos\": [";
-  first = true;
-  for (const SloStatus& st : engine_->slo_status()) {
-    if (!first) out.push_back(',');
-    first = false;
+  out += "\"slos\": ";
+  append_list(out, engine_->slo_status(), [&](const SloStatus& st) {
     out += "{\"name\":";
     append_json_string(out, st.name);
     out += ",\"state\":\"";
@@ -278,53 +224,41 @@ std::string IncidentRecorder::capture_locked(const AlertTransition& t) {
     out += ",\"total\":";
     out += std::to_string(st.total);
     out.push_back('}');
-  }
-  out += "],\n";
+  });
+  out += ",\n";
 
-  out += "\"recent_transitions\": [";
-  first = true;
-  for (const AlertTransition& tr : recent_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += transition_json(tr);
-  }
-  out += "],\n";
+  out += "\"recent_transitions\": ";
+  append_list(out, recent_,
+              [&](const AlertTransition& tr) { out += transition_json(tr); });
+  out += ",\n";
 
-  out += "\"events\": [";
-  if (events_ != nullptr) {
-    const std::vector<Event> evs = events_->events();
-    const std::size_t skip =
-        evs.size() > cfg_.max_events ? evs.size() - cfg_.max_events : 0;
-    first = true;
-    for (std::size_t i = skip; i < evs.size(); ++i) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += event_json_no_seq(evs[i]);
-    }
+  // The newest max_events events, without their seq: bundles must be
+  // byte-stable to be diffable evidence across same-seed runs.
+  std::vector<Event> evs;
+  if (events_ != nullptr) evs = events_->events();
+  if (evs.size() > cfg_.max_events) {
+    evs.erase(evs.begin(),
+              evs.end() - static_cast<std::ptrdiff_t>(cfg_.max_events));
   }
-  out += "],\n";
+  out += "\"events\": ";
+  append_list(out, evs, [&](const Event& ev) {
+    out += ev.to_json(/*with_seq=*/false);
+  });
+  out += ",\n";
 
-  out += "\"windows\": [";
-  if (sampler_ != nullptr) {
-    first = true;
-    for (const SampleWindow& w : sampler_->recent_windows(cfg_.max_windows)) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += window_json(w);
-    }
-  }
-  out += "],\n";
+  out += "\"windows\": ";
+  append_list(out,
+              sampler_ != nullptr ? sampler_->recent_windows(cfg_.max_windows)
+                                  : std::vector<SampleWindow>{},
+              [&](const SampleWindow& w) { out += window_json(w); });
+  out += ",\n";
 
-  out += "\"flight_records\": {";
-  first = true;
-  for (const auto& [name, rec] : recorders_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += jsonl_to_array(rec->to_jsonl());
-  }
-  out += "},\n";
+  out += "\"flight_records\": ";
+  append_object(out, recorders_, [&](const FlightRecorder* rec) {
+    append_list(out, rec->records(),
+                [&](const FlightRecord& r) { out += r.to_json(); });
+  });
+  out += ",\n";
 
   out += "\"faults\": ";
   if (faults_ != nullptr) {
@@ -345,16 +279,12 @@ std::string IncidentRecorder::capture_locked(const AlertTransition& t) {
   out += spans_ != nullptr ? spans_->trace().to_json() : "null";
   out += ",\n";
 
-  out += "\"sections\": {";
-  first = true;
-  for (const auto& [name, provider] : sections_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += provider();
-  }
-  out += "}\n}\n";
+  out += "\"sections\": ";
+  append_object(out, sections_,
+                [&](const std::function<std::string()>& provider) {
+                  out += provider();
+                });
+  out += "\n}\n";
   return out;
 }
 
@@ -404,17 +334,6 @@ std::string scrape_str(const std::string& text, const std::string& key) {
   return out;
 }
 
-std::string read_file(const std::string& path) {
-  std::string out;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-    std::fclose(f);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<IncidentFileInfo> list_incident_bundles(const std::string& dir) {
@@ -427,7 +346,9 @@ std::vector<IncidentFileInfo> list_incident_bundles(const std::string& dir) {
         name.size() < 5 || name.substr(name.size() - 5) != ".json") {
       continue;
     }
-    const std::string text = read_file(entry.path().string());
+    const Bytes raw =
+        reservation::FileStorage(entry.path().string()).read_all();
+    const std::string text(raw.begin(), raw.end());
     IncidentFileInfo info;
     info.path = entry.path().string();
     info.id = scrape_u64(text, "id");

@@ -166,9 +166,9 @@ class PrefixedSink : public MetricSink {
 
 // Full registry state at one point in time.
 struct MetricsSnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
+  std::map<std::string, std::uint64_t, std::less<>> counters;
+  std::map<std::string, std::int64_t, std::less<>> gauges;
+  std::map<std::string, HistogramSnapshot, std::less<>> histograms;
   // Names that sources reported with conflicting metric kinds during
   // collection. The conflicting series is kept under a namespaced name
   // ("<name>.counter" / "<name>.gauge" / "<name>.histogram") instead of

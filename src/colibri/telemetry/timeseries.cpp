@@ -11,30 +11,9 @@ namespace {
 // prefix-sum series like "router.drop.") attaches the suffix directly.
 std::string derived_name(std::string_view series, std::string_view suffix) {
   std::string out(series);
-  if (out.empty() || out.back() != '.') out.push_back('.');
+  if (!is_prefix_series(out)) out.push_back('.');
   out.append(suffix);
   return out;
-}
-
-// Subtracts `prev` from `cur` bucket-wise. A shrinking count means the
-// owning component reset; the delta then restarts from `cur` so one
-// reset never produces a huge negative-wrapped window.
-HistogramSnapshot histogram_minus(const HistogramSnapshot& cur,
-                                  const HistogramSnapshot& prev) {
-  if (cur.count < prev.count) return cur;
-  HistogramSnapshot d;
-  d.count = cur.count - prev.count;
-  d.sum = cur.sum >= prev.sum ? cur.sum - prev.sum : 0;
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    d.buckets[i] =
-        cur.buckets[i] >= prev.buckets[i] ? cur.buckets[i] - prev.buckets[i]
-                                          : cur.buckets[i];
-  }
-  return d;
-}
-
-bool matches(std::string_view name, std::string_view series, bool prefix) {
-  return prefix ? name.substr(0, series.size()) == series : name == series;
 }
 
 }  // namespace
@@ -62,10 +41,6 @@ bool WindowedSampler::poll() {
   if (now - last_end_ns_.load(std::memory_order_relaxed) < cfg_.period_ns) {
     return false;
   }
-  return sample(now);
-}
-
-bool WindowedSampler::sample(TimeNs now) {
   // Snapshot before taking the sampler lock: snapshot() walks every
   // attached source under the registry lock (possibly including this
   // sampler and an alert engine), so the sampler lock stays a leaf.
@@ -75,136 +50,54 @@ bool WindowedSampler::sample(TimeNs now) {
   const TimeNs start = last_end_ns_.load(std::memory_order_relaxed);
   if (now - start < cfg_.period_ns) return false;  // lost a poll() race
 
+  SampleWindow w =
+      cut_window(prev_, std::move(cur), start, now, cfg_.series_filter);
+  last_end_ns_.store(now, std::memory_order_relaxed);
   if (!have_prev_) {
     // First sample baselines only: deltas need two snapshots.
-    prev_ = std::move(cur);
     have_prev_ = true;
-    last_end_ns_.store(now, std::memory_order_relaxed);
     return false;
   }
 
-  const auto keep = [this](const std::string& name) {
-    return !cfg_.series_filter || cfg_.series_filter(name);
-  };
-  SampleWindow w;
-  w.start_ns = start;
-  w.end_ns = now;
-  for (const auto& [name, value] : cur.counters) {
-    if (!keep(name)) continue;
-    const auto it = prev_.counters.find(name);
-    const std::uint64_t before = it == prev_.counters.end() ? 0 : it->second;
-    w.counter_deltas[name] = value >= before ? value - before : value;
-  }
-  for (const auto& [name, level] : cur.gauges) {
-    if (keep(name)) w.gauges[name] = level;
-  }
-  for (const auto& [name, h] : cur.histograms) {
-    if (!keep(name)) continue;
-    const auto it = prev_.histograms.find(name);
-    w.histogram_deltas[name] =
-        it == prev_.histograms.end() ? h : histogram_minus(h, it->second);
-  }
-
+  const SampleWindow* cut[] = {&w};
   for (auto& [name, hw] : watermarks_) {
-    const auto it = w.gauges.find(name);
-    const double level =
-        it == w.gauges.end() ? 0.0 : static_cast<double>(it->second);
-    hw = std::max(level, hw * cfg_.watermark_decay);
+    const auto level = latest_gauge(cut, name, /*prefix=*/false).value_or(0);
+    hw = std::max(static_cast<double>(level), hw * cfg_.watermark_decay);
   }
 
   ring_.push_back(std::move(w));
   while (ring_.size() > cfg_.ring_capacity) ring_.pop_front();
-  prev_ = std::move(cur);
   ++windows_sampled_;
-  last_end_ns_.store(now, std::memory_order_relaxed);
   return true;
-}
-
-double WindowedSampler::rate_locked(std::string_view series, TimeNs span_ns,
-                                    bool prefix) const {
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    for (const auto& [name, d] : it->counter_deltas) {
-      if (matches(name, series, prefix)) delta += d;
-    }
-    elapsed += it->elapsed_ns();
-    if (elapsed >= span_ns) break;
-  }
-  if (elapsed <= 0) return 0.0;
-  return static_cast<double>(delta) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(elapsed);
 }
 
 double WindowedSampler::rate(std::string_view series, TimeNs span_ns,
                              bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return rate_locked(series, span_ns, prefix);
+  return telemetry::rate(newest_span(ring_, span_ns), series, prefix);
 }
 
 double WindowedSampler::peak_rate(std::string_view series, bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  double peak = 0.0;
-  for (const SampleWindow& w : ring_) {
-    if (w.elapsed_ns() <= 0) continue;
-    std::uint64_t delta = 0;
-    for (const auto& [name, d] : w.counter_deltas) {
-      if (matches(name, series, prefix)) delta += d;
-    }
-    peak = std::max(peak, static_cast<double>(delta) *
-                              static_cast<double>(kNsPerSec) /
-                              static_cast<double>(w.elapsed_ns()));
-  }
-  return peak;
-}
-
-std::uint64_t WindowedSampler::counter_delta_locked(std::string_view series,
-                                                    TimeNs span_ns,
-                                                    bool prefix) const {
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    for (const auto& [name, d] : it->counter_deltas) {
-      if (matches(name, series, prefix)) delta += d;
-    }
-    elapsed += it->elapsed_ns();
-    if (elapsed >= span_ns) break;
-  }
-  return delta;
+  return telemetry::peak_rate(newest_span(ring_, kSpanAll), series, prefix);
 }
 
 std::uint64_t WindowedSampler::counter_delta(std::string_view series,
                                              TimeNs span_ns,
                                              bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counter_delta_locked(series, span_ns, prefix);
-}
-
-HistogramSnapshot WindowedSampler::histogram_delta_locked(
-    std::string_view series, TimeNs span_ns) const {
-  HistogramSnapshot merged;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    if (const auto h = it->histogram_deltas.find(std::string(series));
-        h != it->histogram_deltas.end()) {
-      merged.merge(h->second);
-    }
-    elapsed += it->elapsed_ns();
-    if (elapsed >= span_ns) break;
-  }
-  return merged;
+  return counter_sum(newest_span(ring_, span_ns), series, prefix);
 }
 
 HistogramSnapshot WindowedSampler::histogram_delta(std::string_view series,
                                                    TimeNs span_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return histogram_delta_locked(series, span_ns);
+  return histogram_merge(newest_span(ring_, span_ns), series);
 }
 
 std::optional<double> WindowedSampler::windowed_percentile(
     std::string_view series, double q, TimeNs span_ns) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const HistogramSnapshot h = histogram_delta_locked(series, span_ns);
+  const HistogramSnapshot h = histogram_delta(series, span_ns);
   if (h.count == 0) return std::nullopt;
   return h.percentile(q);
 }
@@ -213,18 +106,8 @@ std::optional<std::int64_t> WindowedSampler::gauge_level(
     std::string_view series, bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.empty()) return std::nullopt;
-  const SampleWindow& w = ring_.back();
-  if (!prefix) {
-    const auto it = w.gauges.find(std::string(series));
-    if (it == w.gauges.end()) return std::nullopt;
-    return it->second;
-  }
-  std::optional<std::int64_t> best;
-  for (const auto& [name, v] : w.gauges) {
-    if (!matches(name, series, true)) continue;
-    if (!best || v > *best) best = v;
-  }
-  return best;
+  const SampleWindow* latest[] = {&ring_.back()};
+  return latest_gauge(latest, series, prefix);
 }
 
 double WindowedSampler::watermark(std::string_view series) const {
@@ -276,16 +159,17 @@ void WindowedSampler::collect_metrics(MetricSink& sink) const {
   sink.counter("telemetry.sampler.windows", windows_sampled_);
   sink.gauge("telemetry.sampler.ring_windows",
              static_cast<std::int64_t>(ring_.size()));
+  const auto last_1s = newest_span(ring_, kNsPerSec);
+  const auto last_10s = newest_span(ring_, 10 * kNsPerSec);
   for (const std::string& series : rate_tracked_) {
-    const bool prefix = !series.empty() && series.back() == '.';
+    const bool prefix = is_prefix_series(series);
     sink.gauge(derived_name(series, "rate_1s"),
-               std::llround(rate_locked(series, kNsPerSec, prefix)));
+               std::llround(telemetry::rate(last_1s, series, prefix)));
     sink.gauge(derived_name(series, "rate_10s"),
-               std::llround(rate_locked(series, 10 * kNsPerSec, prefix)));
+               std::llround(telemetry::rate(last_10s, series, prefix)));
   }
   for (const std::string& series : pct_tracked_) {
-    const HistogramSnapshot h =
-        histogram_delta_locked(series, 10 * kNsPerSec);
+    const HistogramSnapshot h = histogram_merge(last_10s, series);
     if (h.count == 0) continue;
     sink.gauge(derived_name(series, "windowed_p50"),
                std::llround(h.percentile(0.50)));

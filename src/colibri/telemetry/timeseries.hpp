@@ -7,8 +7,8 @@
 // process start). WindowedSampler provides both without touching any
 // fast path: it periodically snapshots a MetricsRegistry into a
 // fixed-size ring of per-window deltas — counter deltas, bucket-wise
-// histogram deltas, gauge levels — and answers rate/percentile/
-// watermark queries from the ring.
+// histogram deltas, gauge levels, cut by window.hpp's delta rule — and
+// answers rate/percentile/watermark queries from the ring.
 //
 // Sampling is Clock-driven, never thread-driven: the owner calls
 // poll() at whatever cadence it likes, and a window is cut only when
@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -43,6 +42,7 @@
 
 #include "colibri/common/clock.hpp"
 #include "colibri/telemetry/metrics.hpp"
+#include "colibri/telemetry/window.hpp"
 
 namespace colibri::telemetry {
 
@@ -61,21 +61,7 @@ struct WindowedSamplerConfig {
   // true. Forensics monitors use this to keep wall-clock-derived
   // series (real host execution times, which never replay the same)
   // out of deterministic capture. nullptr keeps everything.
-  std::function<bool(std::string_view)> series_filter;
-};
-
-// One sampled window: what changed between two registry snapshots.
-struct SampleWindow {
-  TimeNs start_ns = 0;
-  TimeNs end_ns = 0;
-  TimeNs elapsed_ns() const { return end_ns - start_ns; }
-  // Counter increments during the window (a counter that shrank — a
-  // component reset — restarts the delta from its new value).
-  std::map<std::string, std::uint64_t> counter_deltas;
-  // Gauge levels at the window's end.
-  std::map<std::string, std::int64_t> gauges;
-  // Bucket-wise histogram increments during the window.
-  std::map<std::string, HistogramSnapshot> histogram_deltas;
+  SeriesFilter series_filter;
 };
 
 class WindowedSampler : public MetricsSource {
@@ -100,7 +86,7 @@ class WindowedSampler : public MetricsSource {
   bool poll();
 
   // --- queries -----------------------------------------------------------
-  // Every query walks the ring newest-to-oldest until the summed
+  // Every query aggregates (window.hpp) the newest windows whose summed
   // elapsed time covers `span_ns` (kSpanAll = the whole ring), so a
   // "rate over 10 s" is exact regardless of how long individual
   // windows ran.
@@ -155,14 +141,6 @@ class WindowedSampler : public MetricsSource {
   void collect_metrics(MetricSink& sink) const override;
 
  private:
-  bool sample(TimeNs now);
-  double rate_locked(std::string_view series, TimeNs span_ns,
-                     bool prefix) const;
-  std::uint64_t counter_delta_locked(std::string_view series, TimeNs span_ns,
-                                     bool prefix) const;
-  HistogramSnapshot histogram_delta_locked(std::string_view series,
-                                           TimeNs span_ns) const;
-
   const MetricsRegistry* source_;
   const Clock* clock_;
   WindowedSamplerConfig cfg_;

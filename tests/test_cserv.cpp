@@ -5,7 +5,6 @@
 
 #include "colibri/app/testbed.hpp"
 #include "colibri/crypto/sha256.hpp"
-#include "colibri/cserv/distributed.hpp"
 
 namespace colibri::cserv {
 namespace {
@@ -385,7 +384,7 @@ TEST_F(CservTest, ForgedRequestRejected) {
   ASSERT_NE(resp, nullptr);
   EXPECT_FALSE(resp->success);
   EXPECT_EQ(resp->fail_code, Errc::kAuthFailed);
-  EXPECT_EQ(bed_.cserv(seg.hops[1].as).stats().auth_failures, 1u);
+  EXPECT_EQ(bed_.cserv(seg.hops[1].as).snapshot().auth_failures, 1u);
 }
 
 // DRKey epochs roll over under live reservations: a renewal after the
@@ -421,7 +420,7 @@ void renew_across_drkey_epoch(bool tick_between) {
     const auto eer = bed.cserv(hop.as).db().eer_copy(key);
     ASSERT_TRUE(eer.has_value()) << hop.as.to_string();
     EXPECT_EQ(eer->versions.back().version, 1) << hop.as.to_string();
-    EXPECT_EQ(bed.cserv(hop.as).stats().auth_failures, 0u)
+    EXPECT_EQ(bed.cserv(hop.as).snapshot().auth_failures, 0u)
         << hop.as.to_string();
   }
 }
@@ -485,48 +484,6 @@ TEST(WireIdentityTest, BusFramesMatchGoldenDigest) {
   EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
             "281bb54fdf9035833c37cf35bbc84bcfd609c0b7e43f430163e12971b5eab395")
       << frames << " bus deliveries";
-}
-
-TEST(DistributedCservTest, RoutesBySegrConsistently) {
-  DistributedEerService svc(4);
-  const ResKey segr{AsId{1, 1}, 42};
-  EerSubService& first = svc.route(segr);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(&svc.route(segr), &first);
-  }
-}
-
-TEST(DistributedCservTest, AdmissionThroughSubServices) {
-  DistributedEerService svc(4);
-  reservation::ReservationDb db(AsId{1, 2}, 4);
-  reservation::SegrRecord segr;
-  segr.key = ResKey{AsId{1, 1}, 1};
-  segr.seg_type = topology::SegType::kUp;
-  segr.hops = {topology::Hop{AsId{1, 1}, 0, 1},
-               topology::Hop{AsId{1, 2}, 1, 0}};
-  segr.local_hop = 1;
-  segr.active = reservation::SegrVersion{0, 1000, 10'000};
-  const ResKey segr_key = segr.key;
-  db.upsert_segr(std::move(segr));
-
-  admission::EerAdmission::Request req;
-  req.eer_key = ResKey{AsId{1, 1}, 100};
-  req.demand_kbps = 600;
-  req.segr_in = segr_key;
-  ASSERT_EQ(svc.admit(db, segr_key, req, 0).value(), 600u);
-  req.eer_key = ResKey{AsId{1, 1}, 101};
-  EXPECT_EQ(svc.admit(db, segr_key, req, 0).value(), 400u);
-  svc.release(db, segr_key, ResKey{AsId{1, 1}, 100});
-  EXPECT_EQ(db.segr_copy(segr_key)->eer_allocated_kbps, 400u);
-}
-
-TEST(DistributedCservTest, LoadSpreadsAcrossSubServices) {
-  DistributedEerService svc(8);
-  std::set<const EerSubService*> used;
-  for (ResId i = 1; i <= 64; ++i) {
-    used.insert(&svc.route(ResKey{AsId{1, 1}, i}));
-  }
-  EXPECT_GE(used.size(), 4u);  // hash spreads over most sub-services
 }
 
 }  // namespace

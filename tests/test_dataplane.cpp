@@ -376,7 +376,7 @@ TEST_F(DataPathTest, PacketTraversesAllRouters) {
   EXPECT_EQ(router_mid_.process(pkt), BorderRouter::Verdict::kForward);
   EXPECT_EQ(pkt.current_hop, 2);
   EXPECT_EQ(router_dst_.process(pkt), BorderRouter::Verdict::kDeliver);
-  EXPECT_EQ(router_dst_.stats().delivered, 1u);
+  EXPECT_EQ(router_dst_.snapshot().delivered, 1u);
 }
 
 TEST_F(DataPathTest, UnknownReservationRejectedAtGateway) {
@@ -446,7 +446,7 @@ TEST_F(DataPathTest, GatewayRateLimitsOveruse) {
   }
   EXPECT_GT(limited, 0);
   EXPECT_GT(ok, 0);
-  EXPECT_EQ(gateway_.stats().rate_limited, static_cast<std::uint64_t>(limited));
+  EXPECT_EQ(gateway_.snapshot().rate_limited, static_cast<std::uint64_t>(limited));
 }
 
 TEST_F(DataPathTest, MalformedPacketsRejected) {

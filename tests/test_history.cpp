@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 
 #include "colibri/common/clock.hpp"
 #include "colibri/common/faults.hpp"
+#include "colibri/crypto/sha256.hpp"
 #include "colibri/sim/faults.hpp"
 #include "colibri/telemetry/alerts.hpp"
 #include "colibri/telemetry/events.hpp"
@@ -267,6 +269,27 @@ TEST(HistoryStoreTest, ReopenRecoversSealsAndAppendsFreshSegment) {
   EXPECT_EQ(again.window_count(), 11u);
 }
 
+// gauge_level picks windows by the same half-open overlap as every
+// other query: over [0, 2 s) the newest overlapping window is [1 s, 2 s)
+// (the one starting at 2 s does not overlap), and a span past the last
+// window holds no level at all.
+TEST(HistoryStoreTest, GaugeLevelUsesHalfOpenSpans) {
+  MemoryHistoryBackend backend;
+  HistoryStore store(backend);
+  for (int i = 0; i < 4; ++i) {
+    SampleWindow w;
+    w.start_ns = i * kSec;
+    w.end_ns = (i + 1) * kSec;
+    w.gauges["db.size"] = 100 + i;
+    store.append(w);
+  }
+  EXPECT_EQ(store.gauge_level("db.size", 0, 2 * kSec),
+            std::optional<std::int64_t>(101));
+  EXPECT_EQ(store.gauge_level("db.size", 4 * kSec, 5 * kSec), std::nullopt);
+  EXPECT_EQ(store.gauge_level("db.", 0, 2 * kSec, /*prefix=*/true),
+            std::optional<std::int64_t>(101));
+}
+
 TEST(HistoryStoreTest, SameWindowsProduceByteIdenticalSegments) {
   MemoryHistoryBackend a, b;
   HistoryConfig cfg;
@@ -283,6 +306,24 @@ TEST(HistoryStoreTest, SameWindowsProduceByteIdenticalSegments) {
   for (const auto& n : names) {
     EXPECT_EQ(a.segment(n)->raw(), b.segment(n)->raw()) << n;
   }
+}
+
+// Pins the segment format: SHA-256 over the one segment a store writes
+// from make_window(0..9). A refactor of the frame codec or the window
+// encoding must leave the digest as it is.
+TEST(HistoryFormatGoldenTest, SegmentBytesMatchGoldenDigest) {
+  MemoryHistoryBackend backend;
+  {
+    HistoryStore store(backend);
+    for (int i = 0; i < 10; ++i) store.append(make_window(i));
+  }
+  const auto names = backend.segments();
+  ASSERT_EQ(names.size(), 1u);
+  const Bytes& raw = backend.segment(names.front())->raw();
+  const auto d = crypto::Sha256::hash(raw);
+  EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+            "033e3e8dfc92503d0b5dad33ab71ecb4fc5186b1e40c55118d09f93b39797554")
+      << raw.size() << " bytes";
 }
 
 // --- crash-recovery property tests -----------------------------------------

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "colibri/common/rand.hpp"
+#include "colibri/crypto/sha256.hpp"
 #include "colibri/reservation/persist.hpp"
 #include "seed_util.hpp"
 
@@ -179,6 +180,37 @@ TEST(WalTest, FileStorageRoundTrip) {
     EXPECT_EQ(db.eer_count(), 1u);
   }
   std::remove(path.c_str());
+}
+
+// Pins the WAL's on-disk bytes: SHA-256 over the log of a fixed
+// sequence of upserts and erases of both record kinds, then over the
+// same log after a checkpoint compacted it and two more records were
+// appended. A refactor of the framing must leave the digest as it is.
+TEST(WalFormatGoldenTest, LogBytesMatchGoldenDigest) {
+  MemoryStorage storage;
+  ReservationWal wal(storage);
+  for (ResId id = 1; id <= 4; ++id) {
+    wal.log_segr_upsert(sample_segr(id));
+    wal.log_eer_upsert(sample_eer(100 + id));
+  }
+  wal.log_segr_erase(ResKey{AsId{1, 10}, 2});
+  wal.log_eer_erase(ResKey{AsId{1, 10}, 103});
+  const Bytes churned = storage.raw();
+
+  ReservationDb db(AsId{1, 20});
+  ASSERT_EQ(wal.recover(db), 10u);
+  wal.checkpoint(db);
+  wal.log_eer_erase(ResKey{AsId{1, 10}, 101});
+  wal.log_segr_upsert(sample_segr(9));
+  const Bytes compacted = storage.raw();
+
+  crypto::Sha256 digest;
+  digest.update(churned);
+  digest.update(compacted);
+  const auto d = digest.finish();
+  EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+            "3b759940199d8bd4bda429275ea1fdb2d32d0b2dc59774a65568ead0c09e4f96")
+      << churned.size() << " + " << compacted.size() << " bytes";
 }
 
 TEST(WalTest, EmptyLogRecoversNothing) {
