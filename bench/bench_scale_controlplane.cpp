@@ -16,6 +16,7 @@
 
 #include "colibri/app/renewal_storm.hpp"
 #include "colibri/app/testbed.hpp"
+#include "colibri/reservation/db.hpp"
 #include "colibri/topology/generator.hpp"
 
 namespace {
@@ -175,6 +176,55 @@ BENCHMARK(BM_RenewalStormBatched)
 const bool kRatioRegistered = colibri::benchjson::request_ratio(
     "controlplane_sharded_over_single", "BM_RenewalStormBatched/8",
     "BM_RenewalStormLegacy");
+
+// --- expiry tick: cost follows what is due, not what is live ------------
+//
+// One ReservationDb::sweep_eers over an 8-shard db (the CServ default)
+// holding N live EERs, 0% or 1% of them due. With the expiry index the
+// 0%-due sweep costs the same at every N, and the 1%-due sweep grows with
+// the number due (it used to scan all N records every tick). Five
+// repetitions per row; the JSON p50 is their median, p99 their spread.
+
+reservation::EerRecord sweep_eer(ResId id, UnixSec exp) {
+  reservation::EerRecord rec;
+  rec.key = ResKey{AsId{1, 10}, id};
+  rec.versions = {reservation::EerVersion{0, 10, exp}};
+  return rec;
+}
+
+void BM_ExpirySweep(benchmark::State& state) {
+  constexpr UnixSec kNow = 1'000;
+  const auto live = static_cast<ResId>(state.range(0));
+  const auto due = static_cast<ResId>(live * state.range(1) / 100);
+  reservation::ReservationDb db(AsId{1, 10}, 8);
+  for (ResId id = 1; id <= live - due; ++id) {
+    db.upsert_eer(sweep_eer(id, kNow + reservation::kEerLifetimeSec));
+  }
+  ResId next = live - due;
+  size_t removed = 0;
+  size_t examined = 0;
+  for (auto _ : state) {
+    if (due != 0) {
+      state.PauseTiming();
+      for (ResId i = 0; i < due; ++i) db.upsert_eer(sweep_eer(++next, kNow));
+      state.ResumeTiming();
+    }
+    removed += db.sweep_eers(kNow, nullptr, &examined);
+  }
+  if (removed != static_cast<size_t>(due) * state.iterations()) {
+    state.SkipWithError("sweep removed the wrong number of EERs");
+  }
+  state.counters["live_eers"] = live;
+  state.counters["examined_per_sweep"] =
+      static_cast<double>(examined) / static_cast<double>(state.iterations());
+}
+
+BENCHMARK(BM_ExpirySweep)
+    ->ArgNames({"live", "due_pct"})
+    ->ArgsProduct({{10'000, 100'000, 1'000'000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(100)
+    ->Repetitions(5);
 
 }  // namespace
 

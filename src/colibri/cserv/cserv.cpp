@@ -632,33 +632,52 @@ void CServ::report_offense(const dataplane::OffenseReport& offense) {
 }
 
 void CServ::tick() {
+  const auto t0 = std::chrono::steady_clock::now();
   const UnixSec now = clock_->now_sec();
+  size_t examined = 0;
   // EERs first (their admission state gives back bandwidth on the SegR
-  // records they ride). Sweeps are two-phase: callbacks run on copies
-  // outside the shard locks, so release_eer may re-lock the db freely.
-  db_.sweep_eers(now, [this](const reservation::EerRecord& rec) {
-    admission_->release_eer(db_, rec.key);
-    if (wal_ != nullptr) wal_->log_eer_erase(rec.key);
-    if (cfg_.events != nullptr) {
-      cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "eer.expired")
-          .str("as", local_.to_string())
-          .str("src_as", rec.key.src_as.to_string())
-          .u64("res_id", rec.key.res_id);
-    }
-  });
-  db_.sweep_segrs(now, [this](const reservation::SegrRecord& rec) {
-    admission_->release_segr(rec.key);
-    if (wal_ != nullptr) wal_->log_segr_erase(rec.key);
-    if (cfg_.events != nullptr) {
-      cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "segr.expired")
-          .str("as", local_.to_string())
-          .str("src_as", rec.key.src_as.to_string())
-          .u64("res_id", rec.key.res_id);
-    }
-  });
+  // records they ride). Sweeps are two-phase: callbacks run on the
+  // removed records outside the shard locks, so release_eer may re-lock
+  // the db freely.
+  size_t expired = db_.sweep_eers(
+      now,
+      [this](const reservation::EerRecord& rec) {
+        admission_->release_eer(db_, rec.key);
+        if (wal_ != nullptr) wal_->log_eer_erase(rec.key);
+        // The gateway serves only this AS's reservations, keyed by ResId.
+        if (gateway_ != nullptr && rec.key.src_as == local_) {
+          gateway_->remove(rec.key.res_id);
+        }
+        if (cfg_.events != nullptr) {
+          cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "eer.expired")
+              .str("as", local_.to_string())
+              .str("src_as", rec.key.src_as.to_string())
+              .u64("res_id", rec.key.res_id);
+        }
+      },
+      &examined);
+  expired += db_.sweep_segrs(
+      now,
+      [this](const reservation::SegrRecord& rec) {
+        admission_->release_segr(rec.key);
+        if (wal_ != nullptr) wal_->log_segr_erase(rec.key);
+        if (cfg_.events != nullptr) {
+          cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "segr.expired")
+              .str("as", local_.to_string())
+              .str("src_as", rec.key.src_as.to_string())
+              .u64("res_id", rec.key.res_id);
+        }
+      },
+      &examined);
   registry_.expire(now);
   key_cache_.expire(now);
   drkey_engine_.refresh(now);
+  metrics_.expired.inc(expired);
+  metrics_.tick_examined.inc(examined);
+  metrics_.tick_ns.record_shared(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
 }
 
 size_t CServ::restore_from_wal() {
@@ -728,6 +747,9 @@ void CServ::reset() {
   metrics_.rate_limited.reset();
   metrics_.policy_denied.reset();
   metrics_.request_latency_ns.reset();
+  metrics_.expired.reset();
+  metrics_.tick_examined.reset();
+  metrics_.tick_ns.reset();
 }
 
 void CServ::collect_metrics(telemetry::MetricSink& sink) const {
@@ -742,6 +764,10 @@ void CServ::collect_metrics(telemetry::MetricSink& sink) const {
   if (latency.count != 0) {
     sink.histogram("cserv.request_latency_ns", latency);
   }
+  sink.counter("cserv.expired", metrics_.expired.value());
+  sink.counter("cserv.tick.examined", metrics_.tick_examined.value());
+  const auto tick = metrics_.tick_ns.snapshot();
+  if (tick.count != 0) sink.histogram("cserv.tick_ns", tick);
   sink.gauge("cserv.db.shards", static_cast<std::int64_t>(db_.num_shards()));
   sink.gauge("cserv.db.segr_count",
              static_cast<std::int64_t>(db_.segr_count()));

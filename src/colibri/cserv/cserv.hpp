@@ -186,7 +186,9 @@ class CServ : public telemetry::MetricsSource {
   size_t restore_from_wal();
 
   // --- housekeeping -------------------------------------------------------
-  // Expires reservations and releases their admission state.
+  // Expires reservations and releases their admission state; an expired
+  // EER this AS initiated also leaves the attached gateway. Pops only the
+  // expiry-index entries due now, so its cost grows with what expires.
   void tick();
 
   // --- bus entry point ----------------------------------------------------
@@ -268,6 +270,11 @@ class CServ : public telemetry::MetricsSource {
     telemetry::Counter rate_limited;
     telemetry::Counter policy_denied;
     telemetry::Histogram request_latency_ns;  // originate() wall time
+    // Housekeeping: EERs + SegRs removed by tick(), the expiry-index
+    // entries its sweeps popped (expired plus re-filed), tick() wall time.
+    telemetry::Counter expired;
+    telemetry::Counter tick_examined;
+    telemetry::Histogram tick_ns;
   };
   Metrics metrics_;
   telemetry::ScopedSource registration_;

@@ -69,9 +69,14 @@ bool ResTable::erase(ResId id) {
 }
 
 void ResTable::grow() {
+  // Tombstones count toward the load limit. When live entries fill at
+  // most half the table, they are what pushed it past the limit: rebuild
+  // at the same capacity (freeing at least a fifth of the slots), so an
+  // insert/erase churn at constant size never grows the table.
+  const bool live_full = (size_ + 1) * 2 > keys_.size();
   std::vector<ResId> old_keys = std::move(keys_);
   std::vector<GatewayEntry> old_slots = std::move(slots_);
-  keys_.assign(old_keys.size() * 2, kEmpty);
+  keys_.assign(live_full ? old_keys.size() * 2 : old_keys.size(), kEmpty);
   slots_.assign(keys_.size(), GatewayEntry{});
   size_ = 0;
   used_ = 0;

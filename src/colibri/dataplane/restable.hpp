@@ -40,8 +40,9 @@ struct GatewayEntry {
 
 class ResTable {
  public:
-  // Capacity is rounded up to a power of two; the table resizes itself
-  // when load exceeds ~70 %.
+  // Capacity is rounded up to a power of two; the table rebuilds itself
+  // when live entries plus tombstones exceed ~70 % of it, doubling only
+  // when live entries fill more than half.
   explicit ResTable(size_t expected_entries = 1024);
 
   // Inserts or overwrites. ResId 0 is reserved and rejected.

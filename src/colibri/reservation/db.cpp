@@ -34,42 +34,38 @@ std::vector<ResKey> ReservationDb::eer_keys_of_shard(size_t shard_idx) const {
   return keys;
 }
 
-size_t ReservationDb::sweep_segrs(
-    UnixSec now, const std::function<void(const SegrRecord&)>& on_remove) {
+template <typename Rec>
+size_t ReservationDb::sweep(UnixSec now, RecordStore<Rec> Shard::*store,
+                            const std::function<void(const Rec&)>& on_remove,
+                            size_t* examined) {
   size_t removed = 0;
-  std::vector<SegrRecord> swept;
+  std::vector<Rec> swept;
   for (auto& s : shards_) {
     {
       std::lock_guard lock(s.mu);
-      removed += s.segrs.sweep(
-          now, [&](const SegrRecord& rec) { swept.push_back(rec); });
+      removed += (s.*store).sweep(
+          now, [&](Rec&& rec) { swept.push_back(std::move(rec)); }, examined);
     }
     // Callbacks outside the shard lock: they may release admission state
     // or log to the WAL without holding any db lock.
     if (on_remove) {
-      for (const SegrRecord& rec : swept) on_remove(rec);
+      for (const Rec& rec : swept) on_remove(rec);
     }
     swept.clear();
   }
   return removed;
 }
 
+size_t ReservationDb::sweep_segrs(
+    UnixSec now, const std::function<void(const SegrRecord&)>& on_remove,
+    size_t* examined) {
+  return sweep(now, &Shard::segrs, on_remove, examined);
+}
+
 size_t ReservationDb::sweep_eers(
-    UnixSec now, const std::function<void(const EerRecord&)>& on_remove) {
-  size_t removed = 0;
-  std::vector<EerRecord> swept;
-  for (auto& s : shards_) {
-    {
-      std::lock_guard lock(s.mu);
-      removed += s.eers.sweep(
-          now, [&](const EerRecord& rec) { swept.push_back(rec); });
-    }
-    if (on_remove) {
-      for (const EerRecord& rec : swept) on_remove(rec);
-    }
-    swept.clear();
-  }
-  return removed;
+    UnixSec now, const std::function<void(const EerRecord&)>& on_remove,
+    size_t* examined) {
+  return sweep(now, &Shard::eers, on_remove, examined);
 }
 
 }  // namespace colibri::reservation

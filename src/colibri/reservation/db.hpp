@@ -10,16 +10,20 @@
 // API contract (the old raw segrs()/eers() store accessors are gone):
 //  * with_segr / with_eer run a callback on the record pointer (nullptr
 //    when absent) under the owning shard's lock. Callbacks must be short
-//    and must not re-enter the database or call out to the bus.
+//    and must not re-enter the database or call out to the bus. The
+//    mutating overloads keep the expiry index exact (store.hpp): a
+//    callback that moves a deadline earlier re-files the record.
 //  * with_segr_pair locks the two owning shards in ascending shard-index
 //    order (one lock when they coincide), so multi-record admission
 //    updates are deadlock-free by construction.
 //  * for_each_* iterate shard by shard under that shard's lock;
 //    segr_snapshot / eer_snapshot copy records out for lock-free scans.
 //  * sweep_segrs / sweep_eers are two-phase: expired records are removed
-//    under the shard lock, but the on_remove callbacks run on copies
-//    *after* the lock is dropped, so they may re-enter the database or
-//    release admission state without lock-order hazards.
+//    under the shard lock, but the on_remove callbacks run on the removed
+//    records *after* the lock is dropped, so they may re-enter the
+//    database or release admission state without lock-order hazards.
+//    Each pops only the index entries due by `now`; callbacks run shard
+//    by shard in (deadline, src_as, res_id) order.
 #pragma once
 
 #include <atomic>
@@ -74,7 +78,8 @@ class ReservationDb {
   decltype(auto) with_segr(const ResKey& key, Fn&& fn) {
     Shard& s = shard(key);
     std::lock_guard lock(s.mu);
-    return fn(s.segrs.find(key));
+    const auto rec = s.segrs.edit(key);
+    return fn(rec.get());
   }
   template <typename Fn>
   decltype(auto) with_segr(const ResKey& key, Fn&& fn) const {
@@ -86,7 +91,8 @@ class ReservationDb {
   decltype(auto) with_eer(const ResKey& key, Fn&& fn) {
     Shard& s = shard(key);
     std::lock_guard lock(s.mu);
-    return fn(s.eers.find(key));
+    const auto rec = s.eers.edit(key);
+    return fn(rec.get());
   }
   template <typename Fn>
   decltype(auto) with_eer(const ResKey& key, Fn&& fn) const {
@@ -104,17 +110,22 @@ class ReservationDb {
     Shard& sa = shard(a);
     if (!b) {
       std::lock_guard lock(sa.mu);
-      return fn(sa.segrs.find(a), static_cast<SegrRecord*>(nullptr));
+      const auto ra = sa.segrs.edit(a);
+      return fn(ra.get(), static_cast<SegrRecord*>(nullptr));
     }
     Shard& sb = shard(*b);
     if (&sa == &sb) {
       std::lock_guard lock(sa.mu);
-      return fn(sa.segrs.find(a), sb.segrs.find(*b));
+      const auto ra = sa.segrs.edit(a);
+      const auto rb = sb.segrs.edit(*b);
+      return fn(ra.get(), rb.get());
     }
     Shard& first = shard_index(a) < shard_index(*b) ? sa : sb;
     Shard& second = &first == &sa ? sb : sa;
     std::scoped_lock lock(first.mu, second.mu);
-    return fn(sa.segrs.find(a), sb.segrs.find(*b));
+    const auto ra = sa.segrs.edit(a);
+    const auto rb = sb.segrs.edit(*b);
+    return fn(ra.get(), rb.get());
   }
 
   // --- mutation ------------------------------------------------------------
@@ -213,12 +224,17 @@ class ReservationDb {
 
   // --- expiry --------------------------------------------------------------
   // Two-phase sweeps: removal happens under the shard lock, the callbacks
-  // run on copies after it is released (safe to re-enter the db / release
-  // admission state from them).
+  // run on the removed records after it is released (safe to re-enter the
+  // db / release admission state from them), shard by shard in
+  // (deadline, src_as, res_id) order. Return the number removed and add
+  // the number of index entries popped (expired plus re-filed) to
+  // `*examined`.
   size_t sweep_segrs(UnixSec now,
-                     const std::function<void(const SegrRecord&)>& on_remove);
+                     const std::function<void(const SegrRecord&)>& on_remove,
+                     size_t* examined = nullptr);
   size_t sweep_eers(UnixSec now,
-                    const std::function<void(const EerRecord&)>& on_remove);
+                    const std::function<void(const EerRecord&)>& on_remove,
+                    size_t* examined = nullptr);
 
  private:
   struct Shard {
@@ -226,6 +242,11 @@ class ReservationDb {
     SegrStore segrs;
     EerStore eers;
   };
+
+  template <typename Rec>
+  size_t sweep(UnixSec now, RecordStore<Rec> Shard::*store,
+               const std::function<void(const Rec&)>& on_remove,
+               size_t* examined);
 
   size_t shard_index(const ResKey& key) const {
     return shard_of(key.res_id, shards_.size());

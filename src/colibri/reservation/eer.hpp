@@ -1,43 +1,16 @@
-// End-to-end-reservation store.
-//
-// Indexed by (SrcAS, ResId) with a secondary index per underlying SegR so
-// an AS can enumerate/account the EERs riding a segment reservation.
+// End-to-end-reservation store: one ReservationDb shard's EERs, keyed by
+// (SrcAS, ResId). Each EER is filed in the store's expiry index under its
+// latest version's expiry (EERs expire automatically, §4.2), so a sweep
+// pops only the EERs due by `now` and a renewal in place costs nothing.
+// There is no per-SegR secondary index: nothing on the control plane
+// enumerates the EERs riding a SegR (the per-SegR totals live in
+// SegrRecord::eer_allocated_kbps).
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
-#include "colibri/reservation/types.hpp"
+#include "colibri/reservation/store.hpp"
 
 namespace colibri::reservation {
 
-class EerStore {
- public:
-  EerRecord* upsert(EerRecord rec);
-  EerRecord* find(const ResKey& key);
-  const EerRecord* find(const ResKey& key) const;
-  bool erase(const ResKey& key);
-
-  std::vector<const EerRecord*> by_segr(const ResKey& segr) const;
-
-  // Removes fully expired EERs (EERs expire automatically, §4.2); calls
-  // `on_remove` for each so SegR accounting can be unwound.
-  size_t sweep(UnixSec now,
-               const std::function<void(const EerRecord&)>& on_remove);
-
-  size_t size() const { return records_.size(); }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [_, rec] : records_) fn(*rec);
-  }
-
- private:
-  std::unordered_map<ResKey, std::unique_ptr<EerRecord>> records_;
-  std::unordered_map<ResKey, std::unordered_set<const EerRecord*>> by_segr_;
-};
+using EerStore = RecordStore<EerRecord>;
 
 }  // namespace colibri::reservation

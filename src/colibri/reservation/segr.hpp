@@ -1,64 +1,17 @@
-// Segment-reservation store with the indexes admission needs.
-//
-// The paper stores reservations in a transactional database; here an
-// in-memory store with secondary indexes. Lookups used on the admission
-// path are O(1); the interface-pair scan exists only for diagnostics and
-// tests (the admission algorithm itself never iterates, see
-// admission/tube.hpp — that is the point of Fig. 3).
+// Segment-reservation store: one ReservationDb shard's SegRs, keyed by
+// (SrcAS, ResId). The paper stores reservations in a transactional
+// database; here an in-memory map whose lookups on the admission path are
+// O(1) (the admission algorithm itself never iterates, see
+// admission/tube.hpp — that is the point of Fig. 3). Each SegR is filed in
+// the store's expiry index under the later of its active and pending
+// expiry, so a sweep pops only the SegRs due by `now`. There is no
+// interface-pair index: admission keeps its own per-interface ledgers.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
-#include "colibri/reservation/types.hpp"
+#include "colibri/reservation/store.hpp"
 
 namespace colibri::reservation {
 
-class SegrStore {
- public:
-  // Inserts or replaces. Returns a stable pointer (records never move).
-  SegrRecord* upsert(SegrRecord rec);
-  SegrRecord* find(const ResKey& key);
-  const SegrRecord* find(const ResKey& key) const;
-  bool erase(const ResKey& key);
-
-  // All reservations crossing an (ingress, egress) interface pair.
-  std::vector<const SegrRecord*> by_interface_pair(IfId ingress,
-                                                   IfId egress) const;
-
-  // Removes expired reservations (active version expired and no pending);
-  // calls `on_remove` for each so aggregate state can be unwound.
-  size_t sweep(UnixSec now,
-               const std::function<void(const SegrRecord&)>& on_remove);
-
-  size_t size() const { return records_.size(); }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [_, rec] : records_) fn(*rec);
-  }
-
- private:
-  struct PairKey {
-    std::uint32_t v;
-    friend bool operator==(PairKey, PairKey) = default;
-  };
-  struct PairHash {
-    size_t operator()(PairKey k) const noexcept {
-      return std::hash<std::uint32_t>{}(k.v * 0x9E3779B9u);
-    }
-  };
-  static PairKey pair_key(IfId in, IfId eg) {
-    return PairKey{static_cast<std::uint32_t>(in) << 16 | eg};
-  }
-
-  std::unordered_map<ResKey, std::unique_ptr<SegrRecord>> records_;
-  std::unordered_map<PairKey, std::unordered_set<const SegrRecord*>, PairHash>
-      by_pair_;
-};
+using SegrStore = RecordStore<SegrRecord>;
 
 }  // namespace colibri::reservation

@@ -90,4 +90,19 @@ struct EerRecord {
   bool prune(UnixSec now);
 };
 
+// The second a store removes a record at (store.hpp): an EER's latest
+// version's expiry; a SegR's active expiry, or its pending version's if
+// that is later (a live pending version keeps an expired SegR until it is
+// activated, §4.2).
+inline UnixSec deadline(const EerRecord& r) { return r.latest_expiry(); }
+inline UnixSec deadline(const SegrRecord& r) {
+  return r.pending ? std::max(r.active.exp_time, r.pending->exp_time)
+                   : r.active.exp_time;
+}
+// Starts loading what deadline() reads beyond the record itself.
+inline void prefetch_deadline(const EerRecord& r) {
+  __builtin_prefetch(r.versions.data());
+}
+inline void prefetch_deadline(const SegrRecord&) {}
+
 }  // namespace colibri::reservation

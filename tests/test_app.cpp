@@ -1,6 +1,9 @@
 // Unit tests: end-host stack — daemon, session lifecycle, testbed wiring.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "colibri/app/testbed.hpp"
 
 namespace colibri::app {
@@ -86,6 +89,50 @@ TEST_F(AppTest, ExpiredSessionReportsExpired) {
   EXPECT_FALSE(session.value().expired());
   clock_.advance(20 * kNsPerSec);
   EXPECT_TRUE(session.value().expired());
+}
+
+// Collects one source's counters and histograms by name.
+struct CaptureSink : telemetry::MetricSink {
+  void counter(std::string_view name, std::uint64_t v) override {
+    counters[std::string(name)] = v;
+  }
+  void gauge(std::string_view, std::int64_t) override {}
+  void histogram(std::string_view name,
+                 const telemetry::HistogramSnapshot& h) override {
+    hists[std::string(name)] = h;
+  }
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, telemetry::HistogramSnapshot> hists;
+};
+
+TEST_F(AppTest, ExpiredEerLeavesSourceGatewayOnTick) {
+  const AsId src{1, 110}, dst{1, 120};
+  auto session = bed_.daemon(src).open_session(
+      dst, HostAddr::from_u64(1), HostAddr::from_u64(2), 100, 1000);
+  ASSERT_TRUE(session.ok());
+  const size_t installed = bed_.gateway(src).reservation_count();
+  dataplane::FastPacket pkt;
+  EXPECT_EQ(session.value().send(100, pkt), dataplane::Gateway::Verdict::kOk);
+
+  clock_.advance(20 * kNsPerSec);
+  // Past its expiry the gateway refuses it, but still holds the entry
+  // until the source CServ's tick expires the EER.
+  EXPECT_EQ(session.value().send(100, pkt),
+            dataplane::Gateway::Verdict::kExpired);
+  EXPECT_EQ(bed_.gateway(src).reservation_count(), installed);
+  bed_.tick_all();
+  EXPECT_EQ(bed_.gateway(src).reservation_count(), installed - 1);
+  EXPECT_EQ(session.value().send(100, pkt),
+            dataplane::Gateway::Verdict::kNoReservation);
+
+  // The tick is visible: the EER counted as expired and its index entry
+  // as examined; the SegRs it rode are not due yet.
+  CaptureSink sink;
+  bed_.cserv(src).collect_metrics(sink);
+  EXPECT_EQ(sink.counters.at("cserv.expired"), 1u);
+  EXPECT_EQ(sink.counters.at("cserv.tick.examined"), 1u);
+  ASSERT_EQ(sink.hists.count("cserv.tick_ns"), 1u);
+  EXPECT_EQ(sink.hists.at("cserv.tick_ns").count, 1u);
 }
 
 TEST_F(AppTest, OpenSessionToUnreachableAsFails) {

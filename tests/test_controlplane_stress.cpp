@@ -149,6 +149,69 @@ TEST(ControlPlaneStressTest, SweepRacesBatchedRenewalDrain) {
   });
 }
 
+TEST(ControlPlaneStressTest, SweeperRacesInPlaceRenewals) {
+  constexpr ResId kEers = 4'000;
+  constexpr UnixSec kStart = 1'000;
+  constexpr UnixSec kSpread = 8;  // deadlines kStart .. kStart + 7
+  constexpr UnixSec kRenewedExp = kStart + 100;
+  reservation::ReservationDb db(kOwner, 8);
+  for (ResId id = 1; id <= kEers; ++id) {
+    reservation::EerRecord rec;
+    rec.key = ResKey{kOwner, id};
+    rec.path = {topology::Hop{kOwner, kNoInterface, kNoInterface}};
+    rec.versions = {reservation::EerVersion{0, 10, kStart + id % kSpread}};
+    db.upsert_eer(std::move(rec));
+  }
+
+  // The sweeper walks `now` across the deadlines while two threads renew
+  // every EER in place; each renewal and each sweep hold the owning
+  // shard's lock, so an EER is either renewed before its sweep (and is
+  // re-filed, not swept) or swept before its renewal (which then finds
+  // nothing).
+  std::vector<ResKey> swept;
+  std::thread sweeper([&] {
+    for (UnixSec now = kStart; now < kStart + kSpread; ++now) {
+      db.sweep_eers(now, [&](const reservation::EerRecord& rec) {
+        swept.push_back(rec.key);
+      });
+    }
+  });
+  std::vector<std::vector<ResKey>> renewed(2);
+  std::vector<std::thread> renewers;
+  for (size_t t = 0; t < renewed.size(); ++t) {
+    renewers.emplace_back([&, t] {
+      for (ResId id = 1 + static_cast<ResId>(t); id <= kEers; id += 2) {
+        const ResKey key{kOwner, id};
+        const bool ok = db.with_eer(key, [](reservation::EerRecord* rec) {
+          if (rec == nullptr) return false;
+          rec->versions.push_back(reservation::EerVersion{1, 10, kRenewedExp});
+          return true;
+        });
+        if (ok) renewed[t].push_back(key);
+      }
+    });
+  }
+  sweeper.join();
+  for (auto& r : renewers) r.join();
+
+  std::vector<ResKey> all = swept;
+  for (const auto& r : renewed) all.insert(all.end(), r.begin(), r.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  EXPECT_EQ(all.size(), kEers);
+  EXPECT_EQ(db.eer_count(), kEers - swept.size());
+
+  // The survivors are exactly the renewed EERs, filed at their renewed
+  // deadline: nothing more is due before it, and all of them are at it.
+  size_t examined = 0;
+  EXPECT_EQ(db.sweep_eers(kRenewedExp - 1, nullptr, &examined), 0u);
+  EXPECT_EQ(examined, 0u);
+  EXPECT_EQ(db.sweep_eers(kRenewedExp, nullptr, &examined),
+            kEers - swept.size());
+  EXPECT_EQ(examined, kEers - swept.size());
+  EXPECT_EQ(db.eer_count(), 0u);
+}
+
 TEST(ControlPlaneStressTest, ParallelDrainWorkersSplitTheShards) {
   app::RenewalStormConfig cfg;
   cfg.num_eers = 8'000;

@@ -134,6 +134,25 @@ TEST(ResTableTest, TombstonesDoNotBreakProbing) {
   EXPECT_EQ(table.size(), 50u);
 }
 
+TEST(ResTableTest, ChurnAtConstantSizeKeepsCapacity) {
+  ResTable table(1000);
+  const size_t cap = table.capacity();
+  ResId next = 1;
+  for (; next <= 1000; ++next) ASSERT_TRUE(table.insert(next, GatewayEntry{}));
+  // Insert one, erase the oldest: tombstones pile up and force rebuilds,
+  // but the live count never changes, so neither does the capacity.
+  for (int i = 0; i < 20'000; ++i, ++next) {
+    ASSERT_TRUE(table.insert(next, GatewayEntry{}));
+    ASSERT_TRUE(table.erase(next - 1000));
+  }
+  EXPECT_EQ(table.size(), 1000u);
+  EXPECT_EQ(table.capacity(), cap);
+  for (ResId id = next - 1000; id < next; ++id) {
+    ASSERT_NE(table.find(id), nullptr) << id;
+  }
+  EXPECT_EQ(table.find(next - 1001), nullptr);
+}
+
 TEST(ResTableTest, RandomizedAgainstReference) {
   Rng rng(13);
   ResTable table(16);

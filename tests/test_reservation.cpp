@@ -99,9 +99,15 @@ TEST(SegrStoreTest, UpsertReplacesAndReindexes) {
   // Replace with different interfaces.
   store.upsert(make_segr(1, 200, 60, 5, 6));
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.by_interface_pair(1, 2).empty());
-  ASSERT_EQ(store.by_interface_pair(5, 6).size(), 1u);
-  EXPECT_EQ(store.by_interface_pair(5, 6)[0]->active.bw_kbps, 200u);
+  const SegrRecord* rec = store.find(ResKey{AsId{1, 10}, 1});
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->active.bw_kbps, 200u);
+  EXPECT_EQ(rec->ingress(), 5);
+  // A replacement with an earlier deadline is re-filed in the expiry
+  // index, so the next sweep past it removes the record.
+  store.upsert(make_segr(1, 200, 20, 5, 6));
+  EXPECT_EQ(store.sweep(30, nullptr), 1u);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(SegrStoreTest, PointersStableAcrossInserts) {
@@ -132,28 +138,6 @@ TEST(SegrStoreTest, SweepKeepsExpiredActiveWithLivePending) {
   store.upsert(std::move(r));
   EXPECT_EQ(store.sweep(100, nullptr), 0u);
   EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(EerStoreTest, IndexBySegr) {
-  EerStore store;
-  EerRecord a = make_eer(1, 10, 50);
-  EerRecord b = make_eer(2, 10, 50);
-  b.segrs = {ResKey{AsId{1, 10}, 901}};
-  store.upsert(a);
-  store.upsert(b);
-  EXPECT_EQ(store.by_segr(ResKey{AsId{1, 10}, 900}).size(), 1u);
-  EXPECT_EQ(store.by_segr(ResKey{AsId{1, 10}, 901}).size(), 1u);
-  EXPECT_TRUE(store.by_segr(ResKey{AsId{1, 10}, 999}).empty());
-}
-
-TEST(EerStoreTest, UpsertReindexesSegrs) {
-  EerStore store;
-  store.upsert(make_eer(1, 10, 50));
-  EerRecord replacement = make_eer(1, 10, 50);
-  replacement.segrs = {ResKey{AsId{1, 10}, 777}};
-  store.upsert(replacement);
-  EXPECT_TRUE(store.by_segr(ResKey{AsId{1, 10}, 900}).empty());
-  EXPECT_EQ(store.by_segr(ResKey{AsId{1, 10}, 777}).size(), 1u);
 }
 
 TEST(EerStoreTest, SweepReleasesExpired) {
