@@ -355,7 +355,8 @@ BENCHMARK(BM_GatewayForwardBatchedHistory)
     "history_append_overhead", "BM_GatewayForwardBatchedSampled",
     "BM_GatewayForwardBatchedHistory");
 
-// Burst API variant (DPDK-style 32-packet bursts), path length 4.
+// DPDK-style 32-packet bursts through the scalar process(), path
+// length 4.
 void BM_GatewayBurst(benchmark::State& state) {
   const std::int64_t r = state.range(0);
   Gateway& gw = gateway_for(4, r);
@@ -364,14 +365,18 @@ void BM_GatewayBurst(benchmark::State& state) {
   ResId ids[kBurst];
   std::uint32_t sizes[kBurst] = {};
   FastPacket pkts[kBurst];
-  Gateway::Verdict verdicts[kBurst];
 
   std::uint64_t processed = 0;
   for (auto _ : state) {
     for (auto& id : ids) {
       id = static_cast<ResId>(1 + rng.below(static_cast<std::uint64_t>(r)));
     }
-    processed += gw.process_burst(ids, sizes, kBurst, pkts, verdicts);
+    // One scalar process() per packet, in burst order.
+    for (size_t i = 0; i < kBurst; ++i) {
+      if (gw.process(ids[i], sizes[i], pkts[i]) == Gateway::Verdict::kOk) {
+        ++processed;
+      }
+    }
     benchmark::DoNotOptimize(pkts[0].hvfs[0]);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(processed));

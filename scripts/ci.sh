@@ -4,12 +4,13 @@
 # (COLIBRI_SANITIZE=thread). Any failing step fails the run.
 #
 # After each functional preset's full suite, the data-plane parity gate
-# re-runs by name: the wire-fuzz corpus replay (tests/fuzz) plus the
-# scalar-vs-batched differential suites. These are the tests that prove
-# the batched/sharded pipeline is observationally identical to the
-# scalar reference, so they get their own visible (and grep-able) CI
-# step — under the asan preset this is the required "differential under
-# ASan+UBSan" run.
+# re-runs by name: the wire-fuzz corpus replay (tests/fuzz), the
+# scalar-vs-batched differential suites, and the two frame-path suites
+# (batch_ingest, and Eq. 6 over the real frame length on both router
+# paths). These are the tests that prove the batched/sharded pipeline
+# is observationally identical to the scalar reference, so they get
+# their own visible (and grep-able) CI step — under the asan preset
+# this is the required "differential under ASan+UBSan" run.
 #
 # The tsan preset is a race lane, not a functional lane: it runs the
 # concurrency-shaped suites (the telemetry stress test, the sharded
@@ -94,7 +95,7 @@ for preset in "${PRESETS[@]}"; do
   ctest --preset "$preset"
   echo "=== [$preset] data-plane parity gate (fuzz corpus + differential)"
   ctest --preset "$preset" \
-    -R 'fuzz_corpus_replay|RouterDifferential|GatewayDifferential|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest'
+    -R 'fuzz_corpus_replay|RouterDifferential|GatewayDifferential|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest|BatchIngestTest|FrameLengthBindingTest'
   echo "=== [$preset] chaos lane (fault injection, failover, WAL recovery)"
   ctest --preset "$preset" -L chaos
 done

@@ -224,7 +224,10 @@ Result<proto::ControlResponse> CServ::originate(
 
 Result<ReservationResult> CServ::setup_segr(const topology::PathSegment& seg,
                                             BwKbps min_bw, BwKbps max_bw) {
-  if (seg.hops.empty() || seg.first_as() != local_) return Errc::kMalformed;
+  if (seg.hops.empty() || seg.first_as() != local_ ||
+      seg.hops.size() > proto::kMaxHops) {
+    return Errc::kMalformed;
+  }
 
   proto::SegRequest msg;
   msg.seg_type = seg.type;
@@ -456,7 +459,7 @@ Result<ReservationResult> CServ::setup_eer(const std::vector<ResKey>& segrs,
     path.insert(path.end(), a.hops.begin() + start, a.hops.end());
   }
   if (path.front().as != local_) return Errc::kMalformed;
-  if (path.size() > dataplane::kMaxHops) return Errc::kMalformed;
+  if (path.size() > proto::kMaxHops) return Errc::kMalformed;
 
   proto::EerRequest msg;
   msg.min_bw_kbps = min_bw;

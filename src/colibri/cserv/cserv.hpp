@@ -131,7 +131,9 @@ class CServ : public telemetry::MetricsSource {
 
   // --- initiator API (called by the local AS / its hosts) ----------------
   // Sets up a new SegR along `seg`. On success, all on-path ASes have
-  // recorded the reservation and this CServ holds the tokens.
+  // recorded the reservation and this CServ holds the tokens. A segment
+  // that does not start here or is longer than proto::kMaxHops is
+  // kMalformed, and nothing is admitted.
   Result<ReservationResult> setup_segr(const topology::PathSegment& seg,
                                        BwKbps min_bw, BwKbps max_bw);
   // Renews an existing SegR (new pending version; activate separately).

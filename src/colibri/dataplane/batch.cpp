@@ -8,7 +8,6 @@ bool batch_ingest(BytesView frame, PacketBatch& batch) {
   if (batch.full()) return false;
   const auto pkt = proto::decode_packet(frame);
   if (!pkt.has_value()) return false;
-  if (pkt->path.size() > kMaxHops) return false;
   batch.push_slot() = to_fast(*pkt);
   return true;
 }

@@ -43,10 +43,9 @@ struct PacketBatch {
 };
 
 // Decodes one wire frame and appends it to the batch. Returns false —
-// leaving the batch unchanged — if the frame does not parse, the batch
-// is full, or the packet's hop count exceeds the FastPacket fixed
-// capacity (such packets cannot round-trip through FastPacket and the
-// scalar router would reject them as malformed anyway).
+// leaving the batch unchanged — if the frame does not decode or the
+// batch is full. The codec bounds the hop count by proto::kMaxHops, so
+// every decodable frame fits a FastPacket.
 bool batch_ingest(BytesView frame, PacketBatch& batch);
 
 }  // namespace colibri::dataplane

@@ -12,11 +12,12 @@ FastPacket to_fast(const proto::Packet& pkt) {
   fp.is_eer = pkt.is_eer;
   fp.num_hops = static_cast<std::uint8_t>(pkt.path.size());
   fp.current_hop = pkt.current_hop;
+  fp.has_trace = pkt.has_trace;
   fp.resinfo = pkt.resinfo;
   fp.eerinfo = pkt.eerinfo;
   fp.timestamp = pkt.timestamp;
   fp.payload_bytes = static_cast<std::uint32_t>(pkt.payload.size());
-  for (size_t i = 0; i < pkt.path.size() && i < kMaxHops; ++i) {
+  for (size_t i = 0; i < pkt.path.size() && i < proto::kMaxHops; ++i) {
     fp.ifaces[i] = IfPair{pkt.path[i].ingress, pkt.path[i].egress};
     if (i < pkt.hvfs.size()) fp.hvfs[i] = pkt.hvfs[i];
   }
@@ -27,6 +28,7 @@ proto::Packet to_packet(const FastPacket& fp) {
   proto::Packet pkt;
   pkt.type = fp.type;
   pkt.is_eer = fp.is_eer;
+  pkt.has_trace = fp.has_trace;  // with a zeroed context
   pkt.current_hop = fp.current_hop;
   pkt.resinfo = fp.resinfo;
   pkt.eerinfo = fp.eerinfo;
@@ -58,7 +60,8 @@ bool Gateway::install(const proto::ResInfo& resinfo,
                       const proto::EerInfo& eerinfo,
                       const std::vector<topology::Hop>& path,
                       const std::vector<HopAuth>& sigmas) {
-  if (path.size() > kMaxHops || path.size() != sigmas.size() || path.empty()) {
+  if (path.size() > proto::kMaxHops || path.size() != sigmas.size() ||
+      path.empty()) {
     return false;
   }
   GatewayEntry e;
@@ -103,6 +106,7 @@ Gateway::Verdict Gateway::prepare(ResId id, std::uint32_t payload_bytes,
   out.is_eer = true;
   out.num_hops = e->num_hops;
   out.current_hop = 0;
+  out.has_trace = false;
   out.resinfo = e->resinfo;
   out.eerinfo = e->eerinfo;
   out.payload_bytes = payload_bytes;
@@ -180,13 +184,8 @@ Gateway::Verdict Gateway::process_recorded(ResId id,
   rec.src_as = local_as_.raw();  // unknown reservation: report our own AS
   const Verdict v = classify(id, payload_bytes, out, &rec);
   verdicts_[idx(v)].bump();
-  const bool is_drop = v != Verdict::kOk;
-  if (sampled || (is_drop && recorder_->record_drops())) {
-    rec.verdict = static_cast<std::uint8_t>(v);
-    rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-    rec.forced_by_drop = !sampled;
-    recorder_->commit(rec);
-  }
+  recorder_->keep(rec, sampled, static_cast<std::uint8_t>(v),
+                  errc_from_verdict(v));
   return v;
 }
 
@@ -201,17 +200,6 @@ Gateway::Verdict Gateway::process_encapsulated(ResId id,
                                         /*is_control=*/false);
   frame_out = proto::encapsulate(intra, proto::encode_packet(to_packet(pkt)));
   return Verdict::kOk;
-}
-
-size_t Gateway::process_burst(const ResId* ids,
-                              const std::uint32_t* payload_bytes, size_t n,
-                              FastPacket* out, Verdict* verdicts) {
-  size_t ok = 0;
-  for (size_t i = 0; i < n; ++i) {
-    verdicts[i] = process(ids[i], payload_bytes[i], out[i]);
-    if (verdicts[i] == Verdict::kOk) ++ok;
-  }
-  return ok;
 }
 
 size_t Gateway::process_batch(const ResId* ids,
@@ -261,13 +249,8 @@ size_t Gateway::process_batch_chunk(const ResId* ids,
       rec.res_id = ids[i];
       rec.src_as = local_as_.raw();  // unknown reservation: our own AS
       v = prepare(ids[i], payload_bytes[i], out[i], &ents[i], &rec);
-      const bool is_drop = v != Verdict::kOk;
-      if (sampled || (is_drop && recorder_->record_drops())) {
-        rec.verdict = static_cast<std::uint8_t>(v);
-        rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-        rec.forced_by_drop = !sampled;
-        recorder_->commit(rec);
-      }
+      recorder_->keep(rec, sampled, static_cast<std::uint8_t>(v),
+                      errc_from_verdict(v));
     }
     verdicts_[idx(v)].bump();
     verdicts[i] = v;
@@ -282,8 +265,8 @@ size_t Gateway::process_batch_chunk(const ResId* ids,
   // Stage 3: multi-lane Eq. 6 HVF fill. Every (packet, hop) pair is one
   // AES lane with its own σ_i key; lanes are expanded with the fast
   // key schedule and enciphered 4-wide, flushed in fixed-size groups so
-  // the scratch stays on the stack (up to kChunk packets × kMaxHops
-  // hops per chunk).
+  // the scratch stays on the stack (up to kChunk packets ×
+  // proto::kMaxHops hops per chunk).
   constexpr size_t kLanes = 64;
   crypto::AesSchedule scheds[kLanes];
   alignas(16) std::uint8_t blocks[kLanes * 16];

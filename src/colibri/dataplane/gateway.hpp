@@ -83,11 +83,6 @@ class Gateway : public telemetry::MetricsSource {
   // authenticates, and emits the complete packet into `out`.
   Verdict process(ResId id, std::uint32_t payload_bytes, FastPacket& out);
 
-  // DPDK-style burst entry point; returns number of packets that passed.
-  // Scalar reference loop: processes packets one at a time.
-  size_t process_burst(const ResId* ids, const std::uint32_t* payload_bytes,
-                       size_t n, FastPacket* out, Verdict* verdicts);
-
   // Staged batch pipeline: restable prefetch for the whole batch, then
   // a sequential per-packet prepare (lookup, expiry, header assembly,
   // token bucket, timestamp — stateful and order-dependent: duplicate

@@ -5,8 +5,8 @@
 // cache-line-friendly probe sequence, no per-lookup allocation. The
 // gateway serves only reservations originating in its own AS, so the
 // 32-bit ResId is the complete key. Entries are large (hop authenticators
-// for up to kMaxHops ASes), so the table stores them out-of-line in a
-// parallel slot array.
+// for up to proto::kMaxHops ASes), so the table stores them out-of-line
+// in a parallel slot array.
 #pragma once
 
 #include <array>
@@ -18,8 +18,6 @@
 #include "colibri/proto/packet.hpp"
 
 namespace colibri::dataplane {
-
-inline constexpr size_t kMaxHops = 16;
 
 struct IfPair {
   std::uint16_t in = 0;
@@ -33,8 +31,8 @@ struct GatewayEntry {
   proto::ResInfo resinfo;
   proto::EerInfo eerinfo;
   std::uint8_t num_hops = 0;
-  std::array<IfPair, kMaxHops> ifaces;
-  std::array<HopAuth, kMaxHops> sigmas;
+  std::array<IfPair, proto::kMaxHops> ifaces;
+  std::array<HopAuth, proto::kMaxHops> sigmas;
   TokenBucket bucket;
 };
 

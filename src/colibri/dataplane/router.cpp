@@ -1,6 +1,5 @@
 #include "colibri/dataplane/router.hpp"
 
-#include <chrono>
 #include <cstring>
 
 #include "colibri/crypto/cmac_multi.hpp"
@@ -13,10 +12,11 @@ inline std::size_t idx(BorderRouter::Verdict v) {
   return static_cast<std::size_t>(v);
 }
 
-inline std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+// Format check shared by the scalar and batched paths. The codec already
+// enforces it on every decoded frame; a FastPacket built by hand may not.
+inline bool well_formed(const FastPacket& p) {
+  return p.num_hops != 0 && p.num_hops <= proto::kMaxHops &&
+         p.current_hop < p.num_hops;
 }
 
 }  // namespace
@@ -32,11 +32,7 @@ BorderRouter::BorderRouter(AsId local_as, const drkey::Key128& hop_key,
 template <bool kRecording>
 BorderRouter::Verdict BorderRouter::classify(FastPacket& pkt,
                                              telemetry::FlightRecord* rec) {
-  // Format checks.
-  if (pkt.num_hops == 0 || pkt.num_hops > kMaxHops ||
-      pkt.current_hop >= pkt.num_hops) {
-    return Verdict::kMalformed;
-  }
+  if (!well_formed(pkt)) return Verdict::kMalformed;
   const TimeNs now = clock_->now_ns();
   return finalize<kRecording>(
       pkt, now,
@@ -147,15 +143,6 @@ BorderRouter::Verdict BorderRouter::process_impl(FastPacket& pkt) {
   if (recorder_ != nullptr) [[unlikely]] {
     return process_recorded(pkt);
   }
-  if (sample_every_ != 0 && --sample_countdown_ == 0) {
-    sample_countdown_ = sample_every_;
-    const std::int64_t t0 = steady_now_ns();
-    const Verdict v = classify<false>(pkt, nullptr);
-    validate_latency_ns_.record(
-        static_cast<std::uint64_t>(steady_now_ns() - t0));
-    verdicts_[idx(v)].bump();
-    return v;
-  }
   const Verdict v = classify<false>(pkt, nullptr);
   verdicts_[idx(v)].bump();
   return v;
@@ -163,8 +150,7 @@ BorderRouter::Verdict BorderRouter::process_impl(FastPacket& pkt) {
 
 // process() with a flight recorder attached. Detail is captured into a
 // stack-local record during classification (a handful of stores, no
-// allocation) and committed to the ring when the deterministic sampler
-// keeps the packet or the verdict is a drop under record-on-drop mode.
+// allocation) and committed under FlightRecorder::keep's rule.
 BorderRouter::Verdict BorderRouter::process_recorded(FastPacket& pkt) {
   if (!recorder_->armed()) {
     const Verdict v = classify<false>(pkt, nullptr);
@@ -179,19 +165,9 @@ BorderRouter::Verdict BorderRouter::process_recorded(FastPacket& pkt) {
   rec.src_as = pkt.resinfo.src_as.raw();
   const Verdict v = classify<true>(pkt, &rec);
   verdicts_[idx(v)].bump();
-  const bool is_drop = v != Verdict::kForward && v != Verdict::kDeliver;
-  if (sampled || (is_drop && recorder_->record_drops())) {
-    rec.verdict = static_cast<std::uint8_t>(v);
-    rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-    rec.forced_by_drop = !sampled;
-    recorder_->commit(rec);
-  }
+  recorder_->keep(rec, sampled, static_cast<std::uint8_t>(v),
+                  errc_from_verdict(v));
   return v;
-}
-
-void BorderRouter::process_burst(FastPacket* pkts, size_t n,
-                                 Verdict* verdicts) {
-  for (size_t i = 0; i < n; ++i) verdicts[i] = process(pkts[i]);
 }
 
 // Multi-lane expected-HVF computation. All per-packet MACs under K_i
@@ -287,9 +263,7 @@ void BorderRouter::process_batch(PacketBatch& batch, Verdict* verdicts) {
       sampled[i] = recorder_->sample_tick();
       pre[i] = clock_->now_ns();
     }
-    const FastPacket& p = pkts[i];
-    fmt_ok[i] = !(p.num_hops == 0 || p.num_hops > kMaxHops ||
-                  p.current_hop >= p.num_hops);
+    fmt_ok[i] = well_formed(pkts[i]);
     if (fmt_ok[i]) now[i] = clock_->now_ns();
   }
   if (prof) tp = profiler_.lap(kStageHeaderSanity, tp);
@@ -330,13 +304,8 @@ void BorderRouter::process_batch(PacketBatch& batch, Verdict* verdicts) {
       v = fmt_ok[i] ? finalize<true>(
                           pkts[i], now[i], [&] { return expected[i]; }, &rec)
                     : Verdict::kMalformed;
-      const bool is_drop = v != Verdict::kForward && v != Verdict::kDeliver;
-      if (sampled[i] || (is_drop && recorder_->record_drops())) {
-        rec.verdict = static_cast<std::uint8_t>(v);
-        rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-        rec.forced_by_drop = !sampled[i];
-        recorder_->commit(rec);
-      }
+      recorder_->keep(rec, sampled[i], static_cast<std::uint8_t>(v),
+                      errc_from_verdict(v));
     }
     verdicts_[idx(v)].bump();
     verdicts[i] = v;
@@ -362,7 +331,6 @@ RouterStats BorderRouter::snapshot() const {
 
 void BorderRouter::reset() {
   for (auto& c : verdicts_) c.reset();
-  validate_latency_ns_.reset();
   profiler_.reset();
 }
 
@@ -373,10 +341,6 @@ void BorderRouter::collect_metrics(telemetry::MetricSink& sink) const {
     const auto v = static_cast<Verdict>(i);
     sink.counter(std::string("router.drop.") + errc_name(errc_from_verdict(v)),
                  verdicts_[i].value());
-  }
-  const auto latency = validate_latency_ns_.snapshot();
-  if (latency.count != 0) {
-    sink.histogram("router.validate_latency_ns", latency);
   }
   telemetry::PrefixedSink prefixed("router.", sink);
   profiler_.collect_metrics(prefixed);

@@ -14,8 +14,11 @@
 // Telemetry: verdict counters are instance-local single-writer atomics
 // (one router instance is driven by one thread at a time, as in the
 // multicore benchmarks) exported through the process-wide
-// MetricsRegistry; per-packet validation latency is sampled into a
-// histogram only when set_latency_sampling() enables it.
+// MetricsRegistry; validation latency comes from the stage profiler.
+//
+// This is the only validator: wire frames reach it through the codec
+// (batch_ingest, or decode_packet + to_fast), and Eq. 6 binds the
+// frame's real length, trace block included (FastPacket::wire_size()).
 #pragma once
 
 #include <array>
@@ -77,19 +80,13 @@ class BorderRouter : public telemetry::MetricsSource {
   // point at this AS's hop entry.
   Verdict process(FastPacket& pkt);
 
-  // DPDK-style burst processing (32-packet bursts in the benchmarks).
-  // Scalar reference loop: processes packets one at a time.
-  void process_burst(FastPacket* pkts, size_t n, Verdict* verdicts);
-
   // Staged batch pipeline. Runs each validation stage across the whole
   // batch — header sanity + clock sampling, dupsup prefetch, multi-lane
   // expected-HVF crypto — then a sequential per-packet finalize that
   // shares its predicates with the scalar classify(), so verdicts, errc
   // mapping, telemetry counters, and flight-recorder records are
   // byte-identical to calling process() on each packet in order.
-  // (The only scalar-path feature the batch path does not replicate is
-  // set_latency_sampling(), whose wall-clock histogram is inherently
-  // per-call.) Writes batch.size verdicts.
+  // Writes batch.size verdicts.
   void process_batch(PacketBatch& batch, Verdict* verdicts);
 
   // Optional monitoring/policing hooks (owned by the caller).
@@ -120,15 +117,6 @@ class BorderRouter : public telemetry::MetricsSource {
   static constexpr std::size_t kStageHvfCrypto = 2;
   static constexpr std::size_t kStageFinalize = 3;
   static constexpr std::size_t kStageScalar = 4;
-
-  // Records the wall-clock validation latency of every `every_n`th
-  // packet into the "router.validate_latency_ns" histogram; 0 (default)
-  // disables sampling and keeps the fast path clock-free. Applies to
-  // the scalar process()/process_burst() path only.
-  void set_latency_sampling(std::uint32_t every_n) {
-    sample_every_ = every_n;
-    sample_countdown_ = every_n;
-  }
 
   // Uniform stats accessors: consistent point-in-time view + reset.
   RouterStats snapshot() const;
@@ -170,10 +158,7 @@ class BorderRouter : public telemetry::MetricsSource {
   DuplicateSuppression* dupsup_ = nullptr;
   OverUseFlowDetector* ofd_ = nullptr;
   telemetry::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t sample_every_ = 0;
-  std::uint32_t sample_countdown_ = 0;
   std::array<telemetry::Counter, kNumVerdicts> verdicts_;
-  telemetry::Histogram validate_latency_ns_;
   telemetry::StageProfiler profiler_{"header_sanity", "prefetch", "hvf_crypto",
                                      "finalize", "scalar"};
   telemetry::ScopedSource registration_;

@@ -7,7 +7,6 @@ namespace {
 
 constexpr std::uint8_t kFlagEer = 0x01;
 constexpr std::uint8_t kFlagTrace = 0x02;
-constexpr std::uint8_t kMaxHops = 64;
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 // Wire codec for Colibri packets.
 //
 // Fixed little-endian layout matching Packet::wire_size():
-//   u8 type | u8 flags | u8 hop_count | u8 current_hop |
+//   u8 type | u8 flags | u8 hop_count (1..kMaxHops) | u8 current_hop |
 //   ResInfo (21 B) | [EERInfo (32 B) if flag 0x01] |
 //   [TraceContext (33 B) if flag 0x02] | u32 Ts | u32 payload_len |
 //   hops (4 B each) | HVFs (4 B each) | payload

@@ -24,6 +24,10 @@ namespace colibri::proto {
 inline constexpr size_t kHvfLen = 4;
 using Hvf = std::array<std::uint8_t, kHvfLen>;
 
+// The one hop limit: the codec rejects a longer path, and the gateway,
+// the border router and the CServ initiators size and check against it.
+inline constexpr size_t kMaxHops = 16;
+
 enum class PacketType : std::uint8_t {
   kData = 0,          // EER data-plane traffic
   kSegSetup = 1,      // SegReq: initial segment-reservation setup

@@ -108,6 +108,18 @@ class FlightRecorder {
 
   bool record_drops() const { return record_drops_; }
 
+  // The one keep rule for a decision captured in `r`: keep it if it was
+  // sampled, or if it is a drop (errc != kOk) under record_drops. A kept
+  // record gets its verdict, errc and forced_by_drop stamped and is
+  // committed.
+  void keep(FlightRecord& r, bool sampled, std::uint8_t verdict, Errc errc) {
+    if (!sampled && (errc == Errc::kOk || !record_drops_)) return;
+    r.verdict = verdict;
+    r.errc = static_cast<std::uint8_t>(errc);
+    r.forced_by_drop = !sampled;
+    commit(r);
+  }
+
   // Copies `r` into the ring (overwriting the oldest record when full)
   // and assigns its commit sequence number. No allocation.
   void commit(const FlightRecord& r) {

@@ -9,18 +9,23 @@
 //   1. decode -> encode is the byte-identical identity on accepted
 //      frames (the codec has one canonical form, no accepted aliases);
 //   2. decode(encode(p)) == p;
-//   3. batch_ingest accepts exactly the decodable frames whose hop
-//      count fits a FastPacket;
+//   3. batch_ingest accepts exactly the decodable frames (the codec's
+//      hop limit is the data plane's, proto::kMaxHops);
 //   4. the FastPacket round trip preserves every header field
-//      forwarding reads;
+//      forwarding reads, the trace flag included;
 //   5. the scalar and batched router paths return the same verdict and
 //      cursor position for the decoded packet — parity must hold for
 //      arbitrary adversarial input, not just well-formed streams;
 //   6. the trace-context block is control-plane only: stripping it from
 //      an accepted frame yields another accepted frame that is exactly
-//      kTraceContextLen shorter, and both frames produce the identical
-//      data-plane (FastPacket) view. peek_trace_context agrees with the
-//      full decode on every accepted frame.
+//      kTraceContextLen shorter, the two data-plane (FastPacket) views
+//      differ only by the trace flag, and their wire_size() values differ
+//      by exactly kTraceContextLen. peek_trace_context agrees with the
+//      full decode on every accepted frame;
+//   7. FastPacket::wire_size() equals the frame length, so Eq. 6 MACs
+//      the real length of every accepted frame;
+//   8. no router path finds an accepted frame malformed: the codec and
+//      the router agree on which bytes are a packet.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -77,14 +82,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check(spkt.has_value() && *spkt == stripped,
         "stripping the trace block broke the frame");
 
-  const bool fits = pkt->path.size() <= colibri::dataplane::kMaxHops;
-  check(ingested == fits, "ingest disagrees with decode + hop bound");
-  if (!fits) return 0;
-  check(batch.size == 1, "ingest did not append exactly one packet");
+  check(ingested && batch.size == 1,
+        "ingest did not append exactly one decodable frame");
 
   const colibri::dataplane::FastPacket fp = colibri::dataplane::to_fast(*pkt);
+  check(fp.wire_size() == size && batch[0].wire_size() == size,
+        "FastPacket wire_size() is not the frame length");
   const colibri::proto::Packet back = colibri::dataplane::to_packet(fp);
   check(back.type == pkt->type && back.is_eer == pkt->is_eer &&
+            back.has_trace == pkt->has_trace &&
             back.current_hop == pkt->current_hop &&
             back.resinfo == pkt->resinfo && back.timestamp == pkt->timestamp &&
             back.payload.size() == pkt->payload.size() &&
@@ -98,12 +104,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
           "FastPacket round trip lost interface pairs");
   }
 
-  // Zero-context fallback parity: the data plane never sees the trace
-  // block, so the traced frame and its stripped twin convert to the
-  // same FastPacket view.
-  check(colibri::dataplane::to_packet(colibri::dataplane::to_fast(*spkt)) ==
-            back,
-        "trace context leaked into the data-plane view");
+  // The data plane keeps only the trace block's length: the traced frame
+  // and its stripped twin differ in the FastPacket view by the flag alone.
+  const colibri::dataplane::FastPacket sfp =
+      colibri::dataplane::to_fast(*spkt);
+  colibri::proto::Packet unflagged = back;
+  unflagged.has_trace = false;
+  check(!sfp.has_trace && colibri::dataplane::to_packet(sfp) == unflagged,
+        "trace block changed the data-plane view beyond its flag");
+  check(fp.wire_size() - sfp.wire_size() ==
+            (pkt->has_trace ? colibri::proto::kTraceContextLen : 0),
+        "trace flag does not cost exactly the block's wire bytes");
 
   // Verdict parity on adversarial input: hookless twin routers with a
   // frozen clock (persistent across inputs; only their counters grow).
@@ -125,5 +136,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check(vs == vb, "scalar/batched router verdict divergence");
   check(scalar_pkt.current_hop == batch[0].current_hop,
         "scalar/batched cursor divergence");
+  check(vs != colibri::dataplane::BorderRouter::Verdict::kMalformed,
+        "router rejects a frame the codec accepts");
   return 0;
 }

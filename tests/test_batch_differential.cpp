@@ -176,7 +176,7 @@ class RouterStream {
     } else if (variant == 1) {
       p.current_hop = p.num_hops;
     } else {
-      p.num_hops = kMaxHops + 1;
+      p.num_hops = proto::kMaxHops + 1;
     }
     return p;
   }
@@ -951,8 +951,9 @@ TEST(BatchIngestTest, RejectsTruncatedOversizedAndFullBatch) {
   }
   EXPECT_FALSE(batch_ingest(BytesView(frame.data(), 0), batch));
 
-  // More hops than FastPacket can hold: parseable but not ingestable.
-  const Bytes big = proto::encode_packet(sample_wire_packet(kMaxHops + 1));
+  // More hops than the one hop limit: the codec rejects the frame.
+  const Bytes big =
+      proto::encode_packet(sample_wire_packet(proto::kMaxHops + 1));
   EXPECT_FALSE(batch_ingest(big, batch));
   EXPECT_EQ(0u, batch.size);
 
@@ -960,6 +961,120 @@ TEST(BatchIngestTest, RejectsTruncatedOversizedAndFullBatch) {
   while (!batch.full()) ASSERT_TRUE(batch_ingest(frame, batch));
   EXPECT_FALSE(batch_ingest(frame, batch));
   EXPECT_EQ(PacketBatch::kCapacity, batch.size);
+}
+
+// --- frames into the router ----------------------------------------------
+
+// A gateway data packet of reservation 7 at hop 1 (kRouterAs's hop),
+// encoded as a frame, optionally with a non-zero trace block.
+Bytes gateway_frame(Gateway& gw, bool traced) {
+  FastPacket fp;
+  EXPECT_EQ(Gateway::Verdict::kOk, gw.process(7, 100, fp));
+  fp.current_hop = 1;
+  proto::Packet pkt = to_packet(fp);
+  if (traced) {
+    pkt.has_trace = true;
+    pkt.trace = {0x1111, 0x2222, 0x3333, 0x4444,
+                 proto::TraceContext::kSampled};
+  }
+  return proto::encode_packet(pkt);
+}
+
+// The two ways a frame reaches a router, each returning its verdict and
+// leaving the routed packet in `out`.
+BorderRouter::Verdict route_batched(BorderRouter& r, const Bytes& frame,
+                                    FastPacket& out) {
+  PacketBatch batch;
+  EXPECT_TRUE(batch_ingest(frame, batch));
+  BorderRouter::Verdict v{};
+  r.process_batch(batch, &v);
+  out = batch[0];
+  return v;
+}
+
+BorderRouter::Verdict route_scalar(BorderRouter& r, const Bytes& frame,
+                                   FastPacket& out) {
+  const auto pkt = proto::decode_packet(frame);
+  EXPECT_TRUE(pkt.has_value());
+  out = to_fast(*pkt);
+  return r.process(out);
+}
+
+class FrameLengthBindingTest : public ::testing::Test {
+ protected:
+  FrameLengthBindingTest() { install_one(gateway_, 7, 100'000, kExp); }
+
+  SimClock clock_{kStart};
+  Gateway gateway_{kSrcAs, clock_, {}, nullptr};
+  BorderRouter batched_{kRouterAs, key_of(2), clock_, nullptr};
+  BorderRouter scalar_{kRouterAs, key_of(2), clock_, nullptr};
+};
+
+// Eq. 6 MACs the frame's real length. The gateway MACs a frame without a
+// trace block, so a data frame that gains one in transit fails the HVF
+// check on both router paths, while its untraced twin forwards.
+TEST_F(FrameLengthBindingTest, TracedGatewayFrameFailsHvfOnBothPaths) {
+  const Bytes plain = gateway_frame(gateway_, false);
+  const Bytes traced = gateway_frame(gateway_, true);
+  ASSERT_EQ(plain.size() + proto::kTraceContextLen, traced.size());
+
+  FastPacket b, s;
+  EXPECT_EQ(BorderRouter::Verdict::kForward, route_batched(batched_, plain, b));
+  EXPECT_EQ(BorderRouter::Verdict::kForward, route_scalar(scalar_, plain, s));
+  EXPECT_EQ(plain.size(), b.wire_size());
+
+  EXPECT_EQ(BorderRouter::Verdict::kBadHvf, route_batched(batched_, traced, b));
+  EXPECT_EQ(BorderRouter::Verdict::kBadHvf, route_scalar(scalar_, traced, s));
+  EXPECT_EQ(traced.size(), b.wire_size());
+  EXPECT_EQ(traced.size(), s.wire_size());
+}
+
+// Batch slots are reused, so the gateway must clear a trace flag left in
+// the slot by an earlier frame.
+TEST_F(FrameLengthBindingTest, GatewayClearsStaleTraceFlag) {
+  FastPacket fp;
+  fp.has_trace = true;
+  ASSERT_EQ(Gateway::Verdict::kOk, gateway_.process(7, 100, fp));
+  EXPECT_FALSE(fp.has_trace);
+  EXPECT_EQ(to_packet(fp).wire_size(), fp.wire_size());
+}
+
+// Random single-byte tampering of valid frames: the batched path
+// (batch_ingest + process_batch) and the scalar path (decode_packet +
+// to_fast + process) accept the same frames and return the same
+// verdict and cursor, and the router never finds a decoded frame
+// malformed.
+TEST_F(FrameLengthBindingTest, FramePathsAgreeOnRandomTampering) {
+  std::mt19937 rng(3);
+  size_t undecodable = 0, bad_hvf = 0;
+  for (int i = 0; i < 500; ++i) {
+    Bytes frame = gateway_frame(gateway_, i % 4 == 0);
+    const bool tamper = rng() % 2 == 1;
+    if (tamper) {
+      frame[rng() % frame.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+    }
+    PacketBatch probe;
+    const bool decodable = proto::decode_packet(frame).has_value();
+    ASSERT_EQ(decodable, batch_ingest(frame, probe)) << i;
+    if (!decodable) {
+      ++undecodable;
+      continue;
+    }
+    FastPacket b, s;
+    const auto vb = route_batched(batched_, frame, b);
+    const auto vs = route_scalar(scalar_, frame, s);
+    EXPECT_EQ(vs, vb) << i;
+    EXPECT_EQ(s.current_hop, b.current_hop) << i;
+    EXPECT_NE(BorderRouter::Verdict::kMalformed, vs) << i;
+    if (!tamper) {
+      const auto want = i % 4 == 0 ? BorderRouter::Verdict::kBadHvf
+                                   : BorderRouter::Verdict::kForward;
+      EXPECT_EQ(want, vs) << i;
+    }
+    if (vs == BorderRouter::Verdict::kBadHvf) ++bad_hvf;
+  }
+  EXPECT_GT(undecodable, 0u);
+  EXPECT_GT(bad_hvf, 0u);
 }
 
 // --- telemetry re-export -------------------------------------------------

@@ -109,6 +109,25 @@ TEST_F(CservTest, SegrBelowMinFails) {
   EXPECT_EQ(r.error(), Errc::kBandwidthUnavailable);
 }
 
+TEST_F(CservTest, SegrLongerThanHopLimitIsMalformed) {
+  const AsId src{1, 112};
+  auto seg = up_segment(src);
+  // Extend the real segment past the one hop limit with made-up ASes.
+  for (std::uint64_t n = 0; seg.hops.size() <= proto::kMaxHops; ++n) {
+    seg.hops.push_back(topology::Hop{AsId{9, 900 + n}, 1, 2});
+  }
+  ASSERT_EQ(seg.hops.size(), proto::kMaxHops + 1);
+  auto& cserv = bed_.cserv(src);
+  const size_t segrs_before = cserv.db().segr_count();
+  const size_t allocs_before = cserv.segr_admission().tracked();
+
+  auto r = cserv.setup_segr(seg, 1000, 100'000);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Errc::kMalformed);
+  EXPECT_EQ(cserv.db().segr_count(), segrs_before);
+  EXPECT_EQ(cserv.segr_admission().tracked(), allocs_before);
+}
+
 TEST_F(CservTest, SegrRenewalCreatesPendingThenActivates) {
   const AsId src{1, 110};
   const auto seg = up_segment(src);

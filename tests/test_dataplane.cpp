@@ -472,7 +472,7 @@ TEST_F(DataPathTest, MalformedPacketsRejected) {
   FastPacket pkt;
   pkt.num_hops = 0;
   EXPECT_EQ(router_src_.process(pkt), BorderRouter::Verdict::kMalformed);
-  pkt.num_hops = kMaxHops + 1;
+  pkt.num_hops = proto::kMaxHops + 1;
   EXPECT_EQ(router_src_.process(pkt), BorderRouter::Verdict::kMalformed);
   pkt.num_hops = 2;
   pkt.current_hop = 2;
@@ -526,17 +526,19 @@ TEST_F(DataPathTest, BurstProcessingMatchesSingle) {
   constexpr size_t kBurst = 32;
   ResId ids[kBurst];
   std::uint32_t sizes[kBurst];
-  FastPacket pkts[kBurst];
+  PacketBatch batch;
   Gateway::Verdict verdicts[kBurst];
   for (size_t i = 0; i < kBurst; ++i) {
     ids[i] = 42;
     sizes[i] = 100;
   }
-  const size_t ok = gateway_.process_burst(ids, sizes, kBurst, pkts, verdicts);
+  const size_t ok = gateway_.process_batch(ids, sizes, kBurst,
+                                           batch.pkts.data(), verdicts);
   EXPECT_EQ(ok, kBurst);
+  batch.size = kBurst;
 
   BorderRouter::Verdict rv[kBurst];
-  router_src_.process_burst(pkts, kBurst, rv);
+  router_src_.process_batch(batch, rv);
   for (size_t i = 0; i < kBurst; ++i) {
     EXPECT_EQ(rv[i], BorderRouter::Verdict::kForward) << i;
   }
