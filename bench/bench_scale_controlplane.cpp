@@ -43,10 +43,10 @@ void BM_ProvisionGeneratedTopology(benchmark::State& state) {
     SimClock clock(1000 * kNsPerSec);
     app::Testbed bed(topology::generate_topology(cfg), clock);
     ases = bed.topology().as_count();
-    const std::uint64_t before = bed.bus().message_count();
+    const std::uint64_t before = bed.bus().snapshot().messages;
     const size_t provisioned = bed.provision_all_segments(100, 500'000);
     total_segments += provisioned;
-    total_messages += bed.bus().message_count() - before;
+    total_messages += bed.bus().snapshot().messages - before;
   }
   state.counters["ASes"] = static_cast<double>(ases);
   state.counters["segments_provisioned"] =
@@ -100,18 +100,13 @@ BENCHMARK(BM_EerAcrossGeneratedTopology)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(2000);
 
-// --- renewal-storm drain: sharded/batched vs single-shard/legacy --------
+// --- renewal-storm drain: per-shard batches ------------------------------
 //
 // §3.2 + §9: SegRs set up together expire together, so hundreds of
-// thousands of EER renewals come due in one 16 s window. The legacy
-// discipline pays one bus round-trip per item over the EER's full path
-// (per-hop packet codecs, payload CMAC verify + append, hop-
-// authenticator CBC-MAC, AEAD seal, initiator unseals) on a
-// single-shard db; the batched discipline drains per-shard,
-// ResId-ordered batches straight into the admission ledger. The ratio
-// row below is the management-scalability headline this bench gates.
-// (The legacy envelope still understates the seed's measured cost —
-// BM_EerRenewal through the real bus is ~61 us/item.)
+// thousands of EER renewals come due in one 16 s window. The drain takes
+// per-shard, ResId-ordered batches straight into the admission ledger;
+// the rows sweep the shard count on one thread. The per-item renewal
+// through the bus is BM_EerRenewal in bench_cserv_throughput.
 
 app::RenewalStormConfig storm_config(size_t shards, size_t eers) {
   app::RenewalStormConfig cfg;
@@ -120,29 +115,6 @@ app::RenewalStormConfig storm_config(size_t shards, size_t eers) {
   cfg.num_segrs = 64;
   return cfg;
 }
-
-void BM_RenewalStormLegacy(benchmark::State& state) {
-  const auto cfg = storm_config(1, static_cast<size_t>(state.range(0)));
-  std::uint64_t renewed = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    app::RenewalStorm storm(cfg);
-    storm.populate();
-    state.ResumeTiming();
-    const auto st = storm.drain_legacy(storm.storm_expiry());
-    renewed += st.renewed;
-    if (st.failed != 0) state.SkipWithError("legacy drain failed renewals");
-  }
-  state.counters["shards"] = 1;
-  state.SetItemsProcessed(static_cast<std::int64_t>(renewed));
-  state.SetLabel("single-shard db, one full-path bus round-trip per item");
-}
-
-BENCHMARK(BM_RenewalStormLegacy)
-    ->Arg(50'000)
-    ->Arg(200'000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 void BM_RenewalStormBatched(benchmark::State& state) {
   const auto cfg = storm_config(static_cast<size_t>(state.range(0)),
@@ -170,12 +142,6 @@ BENCHMARK(BM_RenewalStormBatched)
     ->ArgsProduct({{1, 2, 4, 8}, {50'000, 200'000}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-
-// Ratio rows (one per EER count): batched drain on the 8-shard db over
-// the legacy single-shard drain. The acceptance floor is 3x.
-const bool kRatioRegistered = colibri::benchjson::request_ratio(
-    "controlplane_sharded_over_single", "BM_RenewalStormBatched/8",
-    "BM_RenewalStormLegacy");
 
 // --- expiry tick: cost follows what is due, not what is live ------------
 //

@@ -34,18 +34,18 @@ int main() {
                   std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0)
                       .count()));
 
-  const std::uint64_t msgs_before = bed.bus().message_count();
+  const std::uint64_t msgs_before = bed.bus().snapshot().messages;
   const size_t provisioned = bed.provision_all_segments(100, 1'000'000);
   const auto t2 = std::chrono::steady_clock::now();
+  const std::uint64_t msgs = bed.bus().snapshot().messages - msgs_before;
   std::printf("provisioned %zu SegRs in %lld ms (%llu control messages, "
               "%.1f per SegR)\n",
               provisioned,
               static_cast<long long>(
                   std::chrono::duration_cast<std::chrono::milliseconds>(t2 - t1)
                       .count()),
-              static_cast<unsigned long long>(bed.bus().message_count() -
-                                              msgs_before),
-              static_cast<double>(bed.bus().message_count() - msgs_before) /
+              static_cast<unsigned long long>(msgs),
+              static_cast<double>(msgs) /
                   static_cast<double>(provisioned ? provisioned : 1));
 
   // Random host pairs across ISDs open reservations.

@@ -12,6 +12,13 @@
 # their own visible (and grep-able) CI step — under the asan preset
 # this is the required "differential under ASan+UBSan" run.
 #
+# The functional presets then re-run the control-plane wire gate by
+# name: the bus-frame digests (WireIdentityTest, both runs), the handler
+# edge cases, the canonical payload codec (MessageCodecTest,
+# AuthedPayloadTest) and the wire-fuzz corpus replay. Frames are coded
+# only at the bus boundary and every hop re-encodes what it decodes, so
+# these are the tests that pin the control plane's bytes.
+#
 # The tsan preset is a race lane, not a functional lane: it runs the
 # concurrency-shaped suites (the telemetry stress test, the sharded
 # runtime drain/health tests, the SPSC ring, concurrent counters) under
@@ -96,6 +103,9 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] data-plane parity gate (fuzz corpus + differential)"
   ctest --preset "$preset" \
     -R 'fuzz_corpus_replay|RouterDifferential|GatewayDifferential|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest|BatchIngestTest|FrameLengthBindingTest'
+  echo "=== [$preset] control-plane wire gate (bus-frame digests + payload codec)"
+  ctest --preset "$preset" \
+    -R 'WireIdentityTest|HandlerEdgeTest|MessageCodecTest|AuthedPayloadTest|fuzz_corpus_replay'
   echo "=== [$preset] chaos lane (fault injection, failover, WAL recovery)"
   ctest --preset "$preset" -L chaos
 done

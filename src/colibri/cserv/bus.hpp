@@ -107,7 +107,7 @@ class MessageBus : public telemetry::MetricsSource {
   // Child of the current context (same trace, fresh span id, parent =
   // current span); zeroed when there is no current context.
   proto::TraceContext child_context();
-  // Swaps the current context (used by CServ::originate, which processes
+  // Swaps the current context (used by CServ::request, which processes
   // hop 0 inline without a bus call); returns the previous one.
   proto::TraceContext exchange_context(const proto::TraceContext& ctx) {
     proto::TraceContext prev = current_ctx_;
@@ -135,10 +135,6 @@ class MessageBus : public telemetry::MetricsSource {
       sink.counter("bus.fault.replayed", faults_replayed_.value());
     }
   }
-
-  // Legacy accessors, kept as thin views of the counters.
-  std::uint64_t message_count() const { return messages_.value(); }
-  std::uint64_t byte_count() const { return bytes_.value(); }
 
  private:
   static std::int64_t steady_ns() {

@@ -8,18 +8,22 @@
 
 namespace colibri::cserv {
 
-// Defined in handlers.cpp.
-Bytes process_request_bridge(CServ& self, proto::Packet pkt);
-
 namespace {
 
 // Paper §3.3: "the initiator can determine the location of potential
 // bottlenecks" — render the refusing AS from a response's fail_hop.
-std::string bottleneck_context(const std::vector<AsId>& ases,
+std::string bottleneck_context(const std::vector<topology::Hop>& path,
                                std::uint8_t fail_hop) {
-  if (fail_hop >= ases.size()) return {};
-  return "at " + ases[fail_hop].to_string() + " (hop " +
+  if (fail_hop >= path.size()) return {};
+  return "at " + path[fail_hop].as.to_string() + " (hop " +
          std::to_string(fail_hop) + ")";
+}
+
+std::vector<AsId> ases_of(const std::vector<topology::Hop>& path) {
+  std::vector<AsId> ases;
+  ases.reserve(path.size());
+  for (const topology::Hop& h : path) ases.push_back(h.as);
+  return ases;
 }
 
 }  // namespace
@@ -90,7 +94,25 @@ Bytes CServ::handle(BytesView wire) {
 Bytes CServ::handle_packet(BytesView body) {
   auto pkt = proto::decode_packet(body);
   if (!pkt) return {};
-  return process_request_bridge(*this, std::move(*pkt));
+  auto ap = proto::decode_authed(pkt->payload);
+  // The request travels decoded from here on; the header drops its
+  // encoded payload so the forward step does not copy it.
+  pkt->payload.clear();
+  std::optional<Reply> reply = process(*pkt, ap ? &*ap : nullptr);
+  if (!reply) return {};
+  // The reply frame: the request header as a kResponse with no trace
+  // block, its cursor on the hop that built the reply.
+  proto::Packet out;
+  out.type = proto::PacketType::kResponse;
+  out.is_eer = pkt->is_eer;
+  out.current_hop = reply->hop;
+  out.path = std::move(pkt->path);
+  out.resinfo = pkt->resinfo;
+  out.eerinfo = pkt->eerinfo;
+  proto::AuthedPayload resp;
+  resp.message = std::move(reply->resp);
+  out.payload = proto::encode_authed(resp);
+  return proto::encode_packet(out);
 }
 
 Bytes CServ::handle_registry_query(BytesView body) {
@@ -117,21 +139,6 @@ Bytes CServ::handle_key_fetch(BytesView body) {
   return wire::encode_key_response(key_server_.fetch(requester, at));
 }
 
-proto::Packet CServ::make_response_packet(
-    const proto::Packet& request, const proto::ControlResponse& resp) const {
-  proto::Packet out;
-  out.type = proto::PacketType::kResponse;
-  out.is_eer = request.is_eer;
-  out.current_hop = request.current_hop;
-  out.path = request.path;
-  out.resinfo = request.resinfo;
-  out.eerinfo = request.eerinfo;
-  proto::AuthedPayload ap;
-  ap.message = resp;
-  out.payload = proto::encode_authed(ap);
-  return out;
-}
-
 const crypto::Eax* CServ::key_context(AsId remote) {
   const UnixSec now = clock_->now_sec();
   if (const crypto::Eax* cached = key_cache_.context(remote, now)) {
@@ -148,31 +155,33 @@ const crypto::Eax* CServ::key_context(AsId remote) {
   return key_cache_.context(remote, now);
 }
 
-Result<proto::AuthedPayload> CServ::build_authed(
-    const proto::ControlMessage& msg, const proto::ResInfo& ri,
-    const std::vector<AsId>& ases) {
+Result<proto::ControlResponse> CServ::request(
+    proto::PacketType type, const std::vector<topology::Hop>& path,
+    const proto::ResInfo& ri, proto::ControlMessage msg,
+    const proto::EerInfo& eerinfo) {
+  proto::Packet pkt;
+  pkt.type = type;
+  pkt.is_eer = type == proto::PacketType::kEerSetup ||
+               type == proto::PacketType::kEerRenewal;
+  pkt.path = path;
+  pkt.resinfo = ri;
+  pkt.eerinfo = eerinfo;
+
   proto::AuthedPayload ap;
-  ap.message = msg;
-  const Bytes input = proto::auth_input(msg, ri);
-  ap.macs.reserve(ases.size());
-  for (AsId as : ases) {
+  ap.message = std::move(msg);
+  const Bytes input = proto::auth_input(ap.message, ri);
+  ap.macs.resize(path.size());
+  for (size_t i = 0; i < path.size(); ++i) {
     // K_{AS_i→me}: slow side — fetched from AS_i's key server and cached
     // for the epoch (§2.3).
-    const crypto::Eax* ctx = key_context(as);
+    const crypto::Eax* ctx = key_context(path[i].as);
     if (ctx == nullptr) return Errc::kAuthFailed;
-    proto::Mac16 mac;
-    ctx->cmac().compute(input, mac.data());
-    ap.macs.push_back(mac);
+    ctx->cmac().compute(input, ap.macs[i].data());
   }
-  return ap;
-}
 
-Result<proto::ControlResponse> CServ::originate(
-    proto::Packet pkt, const std::vector<AsId>& ases) {
-  (void)ases;
-  // The initiator is hop 0 of its own request; process locally, which
-  // recursively forwards down the path via the bus. The full forward +
-  // unwind wall time lands in the request-latency histogram.
+  // The initiator is hop 0 of its own request; it runs here, and the
+  // forward step carries it down the path over the bus. The full forward
+  // + unwind wall time lands in the request-latency histogram.
   //
   // Distributed tracing: hop 0 never crosses the bus, so the root of the
   // trace is created here — a fresh trace id (derived from this AS's
@@ -180,14 +189,16 @@ Result<proto::ControlResponse> CServ::originate(
   // span covering the local processing. Downstream hops chain off it via
   // the context stamped into forwarded packets.
   const bool tracing = bus_->tracing_active();
-  proto::TraceContext root_ctx;
   proto::TraceContext prev_ctx;
   std::size_t root_span = 0;
   const auto t0 = std::chrono::steady_clock::now();
   if (tracing) {
-    root_ctx = bus_->new_root_context(clock_->now_ns());
+    const proto::TraceContext root_ctx =
+        bus_->new_root_context(clock_->now_ns());
     pkt.trace = root_ctx;
     pkt.has_trace = root_ctx.present();
+    // The root span is sized as the frame hop 0 would send.
+    pkt.payload = proto::encode_authed(ap);
     root_span = bus_->tracer().open(
         local_.to_string(),
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -199,7 +210,7 @@ Result<proto::ControlResponse> CServ::originate(
                                  /*parent_span_id=*/0);
     prev_ctx = bus_->exchange_context(root_ctx);
   }
-  const Bytes resp_wire = process_request_bridge(*this, std::move(pkt));
+  std::optional<Reply> reply = process(pkt, &ap);
   const auto t1 = std::chrono::steady_clock::now();
   if (tracing) {
     (void)bus_->exchange_context(prev_ctx);
@@ -211,13 +222,12 @@ Result<proto::ControlResponse> CServ::originate(
   metrics_.request_latency_ns.record_shared(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
           .count()));
-  auto resp_pkt = proto::decode_packet(resp_wire);
-  if (!resp_pkt) return Errc::kInternal;
-  auto resp_ap = proto::decode_authed(resp_pkt->payload);
-  if (!resp_ap) return Errc::kInternal;
-  auto* resp = std::get_if<proto::ControlResponse>(&resp_ap->message);
-  if (resp == nullptr) return Errc::kInternal;
-  return *resp;
+  if (!reply) return Errc::kInternal;
+  if (!reply->resp.success) {
+    return Result<proto::ControlResponse>(
+        reply->resp.fail_code, bottleneck_context(path, reply->resp.fail_hop));
+  }
+  return std::move(reply->resp);
 }
 
 // --- SegR initiator API -------------------------------------------------------
@@ -228,77 +238,32 @@ Result<ReservationResult> CServ::setup_segr(const topology::PathSegment& seg,
       seg.hops.size() > proto::kMaxHops) {
     return Errc::kMalformed;
   }
-
-  proto::SegRequest msg;
-  msg.seg_type = seg.type;
-  msg.min_bw_kbps = min_bw;
-  msg.max_bw_kbps = max_bw;
-  for (const auto& h : seg.hops) msg.ases.push_back(h.as);
-
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kSegSetup;
-  pkt.is_eer = false;
-  pkt.path = seg.hops;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = db_.next_res_id();
-  pkt.resinfo.bw_kbps = max_bw;
-  pkt.resinfo.exp_time = clock_->now_sec() + cfg_.segr_lifetime_sec;
-  pkt.resinfo.version = 0;
-
-  auto authed = build_authed(msg, pkt.resinfo, msg.ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  auto resp = originate(std::move(pkt), msg.ases);
-  if (!resp) return resp.error();
-  if (!resp.value().success) {
-    return Result<ReservationResult>(
-        resp.value().fail_code,
-        bottleneck_context(msg.ases, resp.value().fail_hop));
-  }
-
-  segr_tokens_[ResKey{local_, pkt.resinfo.res_id}] = resp.value().tokens;
-  return ReservationResult{ResKey{local_, pkt.resinfo.res_id},
-                           resp.value().final_bw_kbps, pkt.resinfo.exp_time,
-                           0};
+  const proto::ResInfo ri{local_, db_.next_res_id(), max_bw,
+                          clock_->now_sec() + cfg_.segr_lifetime_sec, 0};
+  return request(proto::PacketType::kSegSetup, seg.hops, ri,
+                 proto::SegRequest{seg.type, min_bw, max_bw,
+                                   ases_of(seg.hops), {}})
+      .map([&](proto::ControlResponse resp) {
+        segr_tokens_[ri.key()] = std::move(resp.tokens);
+        return ReservationResult{ri.key(), resp.final_bw_kbps, ri.exp_time, 0};
+      });
 }
 
 Result<ReservationResult> CServ::renew_segr(const ResKey& key, BwKbps min_bw,
                                             BwKbps max_bw) {
   const auto rec = db_.segr_copy(key);
   if (!rec || key.src_as != local_) return Errc::kNoSuchReservation;
-
-  proto::SegRequest msg;
-  msg.seg_type = rec->seg_type;
-  msg.min_bw_kbps = min_bw;
-  msg.max_bw_kbps = max_bw;
-  for (const auto& h : rec->hops) msg.ases.push_back(h.as);
-
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kSegRenewal;
-  pkt.is_eer = false;
-  pkt.path = rec->hops;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = key.res_id;
-  pkt.resinfo.bw_kbps = max_bw;
-  pkt.resinfo.exp_time = clock_->now_sec() + cfg_.segr_lifetime_sec;
-  pkt.resinfo.version = static_cast<ResVer>(rec->active.version + 1);
-
-  auto authed = build_authed(msg, pkt.resinfo, msg.ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  const ResVer new_ver = pkt.resinfo.version;
-  const UnixSec new_exp = pkt.resinfo.exp_time;
-  auto resp = originate(std::move(pkt), msg.ases);
-  if (!resp) return resp.error();
-  if (!resp.value().success) {
-    return Result<ReservationResult>(
-        resp.value().fail_code,
-        bottleneck_context(msg.ases, resp.value().fail_hop));
-  }
-  segr_tokens_[key] = resp.value().tokens;
-  return ReservationResult{key, resp.value().final_bw_kbps, new_exp, new_ver};
+  const proto::ResInfo ri{local_, key.res_id, max_bw,
+                          clock_->now_sec() + cfg_.segr_lifetime_sec,
+                          static_cast<ResVer>(rec->active.version + 1)};
+  return request(proto::PacketType::kSegRenewal, rec->hops, ri,
+                 proto::SegRequest{rec->seg_type, min_bw, max_bw,
+                                   ases_of(rec->hops), {}})
+      .map([&](proto::ControlResponse resp) {
+        segr_tokens_[key] = std::move(resp.tokens);
+        return ReservationResult{key, resp.final_bw_kbps, ri.exp_time,
+                                 ri.version};
+      });
 }
 
 Result<void> CServ::activate_segr(const ResKey& key, ResVer version) {
@@ -307,31 +272,11 @@ Result<void> CServ::activate_segr(const ResKey& key, ResVer version) {
   if (!rec->pending || rec->pending->version != version) {
     return Errc::kBadVersion;
   }
-
-  proto::SegActivation msg{version};
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kSegActivation;
-  pkt.is_eer = false;
-  pkt.path = rec->hops;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = key.res_id;
-  pkt.resinfo.bw_kbps = rec->pending->bw_kbps;
-  pkt.resinfo.exp_time = rec->pending->exp_time;
-  pkt.resinfo.version = version;
-
-  std::vector<AsId> ases;
-  for (const auto& h : rec->hops) ases.push_back(h.as);
-  auto authed = build_authed(msg, pkt.resinfo, ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  auto resp = originate(std::move(pkt), ases);
-  if (!resp) return resp.error();
-  if (!resp.value().success) {
-    return Result<void>(resp.value().fail_code,
-                        bottleneck_context(ases, resp.value().fail_hop));
-  }
-  return {};
+  const proto::ResInfo ri{local_, key.res_id, rec->pending->bw_kbps,
+                          rec->pending->exp_time, version};
+  return request(proto::PacketType::kSegActivation, rec->hops, ri,
+                 proto::SegActivation{version})
+      .map([](proto::ControlResponse) {});
 }
 
 bool CServ::publish_segr(const ResKey& key, std::vector<AsId> whitelist) {
@@ -463,23 +408,13 @@ Result<ReservationResult> CServ::setup_eer(const std::vector<ResKey>& segrs,
 
   proto::EerRequest msg;
   msg.min_bw_kbps = min_bw;
-  msg.path = path;
-  for (const auto& h : path) msg.ases.push_back(h.as);
+  msg.ases = ases_of(path);
+  msg.path = std::move(path);
   msg.segrs = segrs;
-
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kEerSetup;
-  pkt.is_eer = true;
-  pkt.path = path;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = db_.next_res_id();
-  pkt.resinfo.bw_kbps = max_bw;
-  pkt.resinfo.exp_time = clock_->now_sec() + cfg_.eer_lifetime_sec;
-  pkt.resinfo.version = 0;
-  pkt.eerinfo.src_host = src_host;
-  pkt.eerinfo.dst_host = dst_host;
-
-  return finish_eer_request(std::move(pkt), msg);
+  const proto::ResInfo ri{local_, db_.next_res_id(), max_bw,
+                          clock_->now_sec() + cfg_.eer_lifetime_sec, 0};
+  return eer_request(proto::PacketType::kEerSetup, ri, {src_host, dst_host},
+                     std::move(msg));
 }
 
 Result<ReservationResult> CServ::renew_eer(const ResKey& key, BwKbps min_bw,
@@ -489,69 +424,51 @@ Result<ReservationResult> CServ::renew_eer(const ResKey& key, BwKbps min_bw,
 
   proto::EerRequest msg;
   msg.min_bw_kbps = min_bw;
+  msg.ases = ases_of(rec->path);
   msg.path = rec->path;
-  for (const auto& h : rec->path) msg.ases.push_back(h.as);
   msg.segrs = rec->segrs;
-
-  ResVer next_ver = 0;
+  ResVer last_ver = 0;
   for (const auto& v : rec->versions) {
-    next_ver = std::max<ResVer>(next_ver, v.version);
+    last_ver = std::max<ResVer>(last_ver, v.version);
   }
-  ++next_ver;
-
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kEerRenewal;
-  pkt.is_eer = true;
-  pkt.path = rec->path;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = key.res_id;
-  pkt.resinfo.bw_kbps = max_bw;
-  pkt.resinfo.exp_time = clock_->now_sec() + cfg_.eer_lifetime_sec;
-  pkt.resinfo.version = next_ver;
-  pkt.eerinfo.src_host = rec->src_host;
-  pkt.eerinfo.dst_host = rec->dst_host;
-
-  return finish_eer_request(std::move(pkt), msg);
+  const proto::ResInfo ri{local_, key.res_id, max_bw,
+                          clock_->now_sec() + cfg_.eer_lifetime_sec,
+                          static_cast<ResVer>(last_ver + 1)};
+  return eer_request(proto::PacketType::kEerRenewal, ri,
+                     {rec->src_host, rec->dst_host}, std::move(msg));
 }
 
-Result<ReservationResult> CServ::finish_eer_request(proto::Packet pkt,
-                                                    proto::EerRequest msg) {
-  auto authed = build_authed(msg, pkt.resinfo, msg.ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  const proto::ResInfo req_ri = pkt.resinfo;
-  const proto::EerInfo eerinfo = pkt.eerinfo;
-  auto resp_r = originate(std::move(pkt), msg.ases);
-  if (!resp_r) return resp_r.error();
-  const proto::ControlResponse& resp = resp_r.value();
-  if (!resp.success) {
-    return Result<ReservationResult>(
-        resp.fail_code, bottleneck_context(msg.ases, resp.fail_hop));
-  }
-
-  // Unseal the hop authenticators (Eq. 5) with the per-AS DRKeys and
-  // install the reservation at the gateway (Fig. 1b step 5).
-  proto::ResInfo final_ri = req_ri;
-  final_ri.bw_kbps = resp.final_bw_kbps;
-  std::vector<dataplane::HopAuth> sigmas;
-  sigmas.reserve(msg.ases.size());
-  for (size_t i = 0; i < msg.ases.size(); ++i) {
-    const crypto::Eax* ctx = key_context(msg.ases[i]);
-    if (ctx == nullptr) return Errc::kAuthFailed;
-    const Bytes aad = wire::hopauth_aad(final_ri, static_cast<std::uint8_t>(i));
-    if (i >= resp.sealed_hopauths.size()) return Errc::kInternal;
-    auto opened = ctx->open(aad, resp.sealed_hopauths[i]);
-    if (!opened || opened->size() != 16) return Errc::kAuthFailed;
-    dataplane::HopAuth sigma;
-    std::copy(opened->begin(), opened->end(), sigma.begin());
-    sigmas.push_back(sigma);
-  }
-  if (gateway_ != nullptr) {
-    gateway_->install(final_ri, eerinfo, msg.path, sigmas);
-  }
-  return ReservationResult{final_ri.key(), final_ri.bw_kbps,
-                           final_ri.exp_time, final_ri.version};
+Result<ReservationResult> CServ::eer_request(proto::PacketType type,
+                                             const proto::ResInfo& ri,
+                                             const proto::EerInfo& eerinfo,
+                                             proto::EerRequest msg) {
+  const std::vector<topology::Hop> path = msg.path;
+  return request(type, path, ri, std::move(msg), eerinfo)
+      .and_then([&](proto::ControlResponse resp) -> Result<ReservationResult> {
+        // Unseal the hop authenticators (Eq. 5) with the per-AS DRKeys and
+        // install the reservation at the gateway (Fig. 1b step 5).
+        proto::ResInfo final_ri = ri;
+        final_ri.bw_kbps = resp.final_bw_kbps;
+        std::vector<dataplane::HopAuth> sigmas;
+        sigmas.reserve(path.size());
+        for (size_t i = 0; i < path.size(); ++i) {
+          const crypto::Eax* ctx = key_context(path[i].as);
+          if (ctx == nullptr) return Errc::kAuthFailed;
+          const Bytes aad =
+              wire::hopauth_aad(final_ri, static_cast<std::uint8_t>(i));
+          if (i >= resp.sealed_hopauths.size()) return Errc::kInternal;
+          auto opened = ctx->open(aad, resp.sealed_hopauths[i]);
+          if (!opened || opened->size() != 16) return Errc::kAuthFailed;
+          dataplane::HopAuth sigma;
+          std::copy(opened->begin(), opened->end(), sigma.begin());
+          sigmas.push_back(sigma);
+        }
+        if (gateway_ != nullptr) {
+          gateway_->install(final_ri, eerinfo, path, sigmas);
+        }
+        return ReservationResult{final_ri.key(), final_ri.bw_kbps,
+                                 final_ri.exp_time, final_ri.version};
+      });
 }
 
 // --- dissemination (App. C) --------------------------------------------------------

@@ -10,7 +10,9 @@
 // All inter-AS communication crosses the MessageBus as serialized Colibri
 // packets; a request travels hop-by-hop down the path and the response is
 // assembled on the unwind — mirroring the paper's forward/backward passes
-// (Fig. 1a/1b).
+// (Fig. 1a/1b). Frames are coded only at the bus boundary: handle_packet
+// decodes a request and frames its reply, and the one forward step
+// encodes the request for the next AS and decodes what comes back.
 #pragma once
 
 #include <functional>
@@ -201,18 +203,24 @@ class CServ : public telemetry::MetricsSource {
  private:
   friend class Handlers;
 
-  struct PendingToken {
-    proto::Hvf token;
+  // A decoded reply on its way back to the initiator, and the index of
+  // the hop that built it. Its frame is the request header with type
+  // kResponse, no trace block and current_hop set to `hop`.
+  struct Reply {
+    proto::ControlResponse resp;
+    std::uint8_t hop = 0;
   };
 
-  // Implemented in handlers.cpp.
   Bytes handle_packet(BytesView wire);
   Bytes handle_registry_query(BytesView wire);
   Bytes handle_key_fetch(BytesView wire);
   Bytes handle_down_segr_request(BytesView wire);
 
-  proto::Packet make_response_packet(const proto::Packet& request,
-                                     const proto::ControlResponse& resp) const;
+  // Runs a request at this hop (handlers.cpp). `ap` is its decoded
+  // payload, nullptr when the payload did not decode. nullopt when no
+  // reply came back from downstream.
+  std::optional<Reply> process(const proto::Packet& pkt,
+                               proto::AuthedPayload* ap);
 
   // The cached context of K_{remote->local} for the current epoch, for
   // MACing requests toward remote verifiers and opening sealed HopAuths.
@@ -221,19 +229,22 @@ class CServ : public telemetry::MetricsSource {
   // fetch fails. Valid until the next key_context() or tick().
   const crypto::Eax* key_context(AsId remote);
 
-  // Builds per-AS payload MACs for an outgoing request.
-  Result<proto::AuthedPayload> build_authed(const proto::ControlMessage& msg,
-                                            const proto::ResInfo& ri,
-                                            const std::vector<AsId>& ases);
+  // The initiators' one request builder: a `type` request from this AS
+  // along `path`, its payload `msg` MACed for every AS on the path
+  // (§4.5), run from hop 0. Returns the granted reply; a refusal comes
+  // back as its code, naming the refusing AS (§3.3).
+  Result<proto::ControlResponse> request(proto::PacketType type,
+                                         const std::vector<topology::Hop>& path,
+                                         const proto::ResInfo& ri,
+                                         proto::ControlMessage msg,
+                                         const proto::EerInfo& eerinfo = {});
 
-  // Shared tail of setup_eer/renew_eer: authenticate, originate, unseal
-  // the returned hop authenticators, install at the gateway.
-  Result<ReservationResult> finish_eer_request(proto::Packet pkt,
-                                               proto::EerRequest msg);
-
-  // Runs the full forward pass for a request originated here.
-  Result<proto::ControlResponse> originate(proto::Packet pkt,
-                                           const std::vector<AsId>& ases);
+  // Shared tail of setup_eer/renew_eer: runs the request, unseals the
+  // returned hop authenticators and installs the EER at the gateway.
+  Result<ReservationResult> eer_request(proto::PacketType type,
+                                        const proto::ResInfo& ri,
+                                        const proto::EerInfo& eerinfo,
+                                        proto::EerRequest msg);
 
   const topology::Topology* topo_;
   AsId local_;
@@ -271,7 +282,7 @@ class CServ : public telemetry::MetricsSource {
     telemetry::Counter auth_failures;
     telemetry::Counter rate_limited;
     telemetry::Counter policy_denied;
-    telemetry::Histogram request_latency_ns;  // originate() wall time
+    telemetry::Histogram request_latency_ns;  // request() wall time
     // Housekeeping: EERs + SegRs removed by tick(), the expiry-index
     // entries its sweeps popped (expired plus re-filed), tick() wall time.
     telemetry::Counter expired;

@@ -1,5 +1,12 @@
 // On-path request processing: the forward pass (admission hop by hop) and
 // the backward pass (token / HopAuth issuance) of Fig. 1a/1b.
+//
+// SegR setup/renewal, EER setup/renewal and activation share one shape:
+// the prologue (structure, MAC, source filter), the request's own checks
+// and admission, the forward step, and on the way back either the failure
+// unwind or the granted epilogue. Requests arrive decoded, from
+// CServ::handle_packet or the initiator's hop 0; the forward step is the
+// only place here that encodes a request or decodes a reply.
 #include <algorithm>
 #include <chrono>
 
@@ -12,36 +19,44 @@ namespace colibri::cserv {
 
 // Friend of CServ; stateless — every function takes the service as `self`.
 class Handlers {
+  using Reply = CServ::Reply;
+
  public:
-  static Bytes process_request(CServ& self, proto::Packet pkt);
+  static std::optional<Reply> process(CServ& self, const proto::Packet& pkt,
+                                      proto::AuthedPayload* ap);
 
  private:
-  static Bytes fail(CServ& self, const proto::Packet& pkt, Errc code,
-                    std::uint8_t hop);
-  static Bytes respond(CServ& self, const proto::Packet& pkt,
-                       const proto::ControlResponse& resp);
+  // Gives back what admission reserved at this hop for a failed request.
+  using Undo = void (*)(CServ& self, const proto::Packet& pkt);
 
-  static drkey::Key128 source_key(CServ& self, const proto::ResInfo& ri);
-  static bool verify_payload_mac(const crypto::Cmac& src_mac,
-                                 const proto::AuthedPayload& ap,
-                                 const proto::ResInfo& ri, std::uint8_t hop);
+  static std::optional<Reply> prologue(CServ& self, const proto::Packet& pkt,
+                                       const proto::AuthedPayload* ap,
+                                       crypto::Eax& src);
+  static std::optional<Reply> handle_seg(CServ& self, const proto::Packet& pkt,
+                                         proto::AuthedPayload& ap);
+  static std::optional<Reply> handle_activation(CServ& self,
+                                                const proto::Packet& pkt,
+                                                proto::AuthedPayload& ap);
+  static std::optional<Reply> handle_eer(CServ& self, const proto::Packet& pkt,
+                                         proto::AuthedPayload& ap,
+                                         const crypto::Eax& src);
 
-  static Bytes handle_seg(CServ& self, proto::Packet& pkt,
-                          proto::AuthedPayload& ap);
-  static Bytes handle_seg_activation(CServ& self, proto::Packet& pkt,
-                                     proto::AuthedPayload& ap);
-  static Bytes handle_eer(CServ& self, proto::Packet& pkt,
-                          proto::AuthedPayload& ap);
+  static std::optional<Reply> forward(CServ& self, const proto::Packet& pkt,
+                                      const proto::AuthedPayload& ap,
+                                      AsId next);
+  static std::optional<Reply> unwind(CServ& self, const proto::Packet& pkt,
+                                     std::optional<Reply> reply, Undo undo);
+  static void granted(CServ& self, const proto::Packet& pkt, ResVer version,
+                      BwKbps bw_kbps, UnixSec exp_time);
+  static Reply fail(CServ& self, const proto::Packet& pkt, Errc code);
+  static Reply bottleneck_reply(std::uint8_t hop,
+                                const std::vector<BwKbps>& granted,
+                                BwKbps cap);
 
-  static Bytes forward_and_unwind_seg(CServ& self, proto::Packet& pkt,
-                                      proto::AuthedPayload& ap,
-                                      const proto::SegRequest& msg,
-                                      BwKbps my_grant);
-  static Bytes forward_and_unwind_eer(CServ& self, proto::Packet& pkt,
-                                      proto::AuthedPayload& ap,
-                                      const proto::EerRequest& msg,
-                                      BwKbps my_grant,
-                                      const crypto::Eax& src_ctx);
+  static void undo_seg(CServ& self, const proto::Packet& pkt);
+  static void undo_eer(CServ& self, const proto::Packet& pkt);
+  static admission::SegrAdmissionRequest segr_admission(
+      CServ& self, const proto::Packet& pkt, BwKbps min_bw, BwKbps demand);
 
   static void store_segr(CServ& self, const proto::Packet& pkt,
                          const proto::SegRequest& msg, BwKbps final_bw,
@@ -52,27 +67,23 @@ class Handlers {
 
 namespace {
 
-const char* request_name(proto::PacketType t) {
-  switch (t) {
-    case proto::PacketType::kSegSetup: return "seg-setup";
-    case proto::PacketType::kSegRenewal: return "seg-renewal";
-    case proto::PacketType::kSegActivation: return "seg-activation";
-    case proto::PacketType::kEerSetup: return "eer-setup";
-    case proto::PacketType::kEerRenewal: return "eer-renewal";
-    default: return "unknown";
-  }
-}
+// A request kind's name in denial events, and the verdict a granted one
+// logs and tags its span with.
+struct KindNames {
+  const char* request;
+  const char* verdict;
+};
 
-// Re-stamps the trace context for the next hop: the forwarded packet
-// becomes a child span of this AS's delivery span, so each AS on the
-// path opens a child of the upstream hop (never a disconnected root).
-// No-op when tracing is off — the packet then carries no trace block
-// and the wire bytes are identical to the pre-extension format.
-void stamp_child_context(MessageBus& bus, proto::Packet& fwd) {
-  if (!bus.tracing_active()) return;
-  const proto::TraceContext ctx = bus.child_context();
-  fwd.trace = ctx;
-  fwd.has_trace = ctx.present();
+KindNames names_of(proto::PacketType t) {
+  switch (t) {
+    case proto::PacketType::kSegSetup: return {"seg-setup", "segr.admitted"};
+    case proto::PacketType::kSegRenewal: return {"seg-renewal", "segr.renewed"};
+    case proto::PacketType::kSegActivation:
+      return {"seg-activation", "segr.activated"};
+    case proto::PacketType::kEerSetup: return {"eer-setup", "eer.admitted"};
+    case proto::PacketType::kEerRenewal: return {"eer-renewal", "eer.renewed"};
+    default: return {"unknown", "unknown"};
+  }
 }
 
 // Times the admission-algorithm call when (and only when) this request
@@ -102,16 +113,177 @@ class AdmissionTimer {
 
 }  // namespace
 
-Bytes Handlers::fail(CServ& self, const proto::Packet& pkt, Errc code,
-                     std::uint8_t hop) {
+std::optional<CServ::Reply> CServ::process(const proto::Packet& pkt,
+                                           proto::AuthedPayload* ap) {
+  return Handlers::process(*this, pkt, ap);
+}
+
+std::optional<CServ::Reply> Handlers::process(CServ& self,
+                                              const proto::Packet& pkt,
+                                              proto::AuthedPayload* ap) {
+  // K_{me -> SrcAS}, derived on the fly once per request with no
+  // per-source state (§5.3): it checks the request's MAC here and seals
+  // an EER's hop authenticator on the way back.
+  crypto::Eax src;
+  if (auto refused = prologue(self, pkt, ap, src)) return refused;
+  switch (pkt.type) {
+    case proto::PacketType::kSegSetup:
+    case proto::PacketType::kSegRenewal: return handle_seg(self, pkt, *ap);
+    case proto::PacketType::kSegActivation:
+      return handle_activation(self, pkt, *ap);
+    default: return handle_eer(self, pkt, *ap, src);
+  }
+}
+
+std::optional<CServ::Reply> Handlers::prologue(CServ& self,
+                                               const proto::Packet& pkt,
+                                               const proto::AuthedPayload* ap,
+                                               crypto::Eax& src) {
+  // Structure: the payload decoded to the message the packet type names,
+  // and a setup or renewal lists one AS per header hop (an EER's own path
+  // too) with this AS at the cursor.
+  const std::uint8_t hop = pkt.current_hop;
+  const auto lined_up = [&](const std::vector<AsId>& ases) {
+    return ases.size() == pkt.path.size() && hop < ases.size() &&
+           ases[hop] == self.local_;
+  };
+  const proto::ControlMessage* msg = ap != nullptr ? &ap->message : nullptr;
+  bool ok = false;
+  switch (pkt.type) {
+    case proto::PacketType::kSegSetup:
+    case proto::PacketType::kSegRenewal: {
+      const auto* seg = msg ? std::get_if<proto::SegRequest>(msg) : nullptr;
+      ok = seg != nullptr && lined_up(seg->ases);
+      if (ok) self.metrics_.seg_requests.inc();
+      break;
+    }
+    case proto::PacketType::kEerSetup:
+    case proto::PacketType::kEerRenewal: {
+      const auto* eer = msg ? std::get_if<proto::EerRequest>(msg) : nullptr;
+      ok = eer != nullptr && lined_up(eer->ases) &&
+           eer->path.size() == eer->ases.size();
+      if (ok) self.metrics_.eer_requests.inc();
+      break;
+    }
+    case proto::PacketType::kSegActivation:
+      ok = msg != nullptr && std::holds_alternative<proto::SegActivation>(*msg);
+      break;
+    default: break;
+  }
+  if (!ok) return fail(self, pkt, Errc::kMalformed);
+
+  // Authenticity (§4.5): the source's MAC for this hop.
+  src.set_key(self.drkey_engine_.as_key(pkt.resinfo.src_as,
+                                        self.clock_->now_sec())
+                  .bytes.data());
+  std::uint8_t tag[crypto::Cmac::kTagSize];
+  src.cmac().compute(proto::auth_input(ap->message, pkt.resinfo), tag);
+  if (hop >= ap->macs.size() ||
+      !crypto::Cmac::verify_prefix(tag, ap->macs[hop].data(), sizeof(tag))) {
+    self.metrics_.auth_failures.inc();
+    return fail(self, pkt, Errc::kAuthFailed);
+  }
+  if (pkt.type == proto::PacketType::kSegActivation) return std::nullopt;
+
+  // Source filter for setups and renewals: the per-AS request rate limit
+  // (§5.3), then sources denied for misbehavior (§4.8).
+  if (!self.rate_limiter_.allow_request(pkt.resinfo.src_as,
+                                        self.clock_->now_ns())) {
+    self.metrics_.rate_limited.inc();
+    return fail(self, pkt, Errc::kRateLimited);
+  }
+  if (self.denied_sources_.contains(pkt.resinfo.src_as)) {
+    return fail(self, pkt, Errc::kBlocked);
+  }
+  return std::nullopt;
+}
+
+std::optional<CServ::Reply> Handlers::forward(CServ& self,
+                                              const proto::Packet& pkt,
+                                              const proto::AuthedPayload& ap,
+                                              AsId next) {
+  // At a transfer AS the request payload is copied into a fresh Colibri
+  // packet for the next SegR (§4.4); here that is the frame handed to the
+  // next AS, its cursor one hop on.
+  proto::Packet fwd = pkt;
+  fwd.current_hop = pkt.current_hop + 1;
+  fwd.payload = proto::encode_authed(ap);
+  // Tracing: the forwarded packet becomes a child span of this AS's
+  // delivery span. With tracing off the frame carries no trace block.
+  if (self.bus_->tracing_active()) {
+    fwd.trace = self.bus_->child_context();
+    fwd.has_trace = fwd.trace.present();
+  }
+  const Bytes resp_wire =
+      self.bus_->call(next, wire::packet_frame(proto::encode_packet(fwd)));
+
+  // Nothing usable came back: the AS is unreachable, the bus dropped the
+  // request, or the frame is not a reply.
+  const auto resp_pkt = proto::decode_packet(resp_wire);
+  if (!resp_pkt) return std::nullopt;
+  auto resp_ap = proto::decode_authed(resp_pkt->payload);
+  auto* resp =
+      resp_ap ? std::get_if<proto::ControlResponse>(&resp_ap->message) : nullptr;
+  if (resp == nullptr) return std::nullopt;
+  return Reply{std::move(*resp), resp_pkt->current_hop};
+}
+
+std::optional<CServ::Reply> Handlers::unwind(CServ& self,
+                                             const proto::Packet& pkt,
+                                             std::optional<Reply> reply,
+                                             Undo undo) {
+  // A refused or lost request gives back this hop's allocation (§3.3). A
+  // lost reply becomes kInternal here, so the initiator learns where the
+  // chain broke. An activation reserved nothing (`undo` == nullptr) and
+  // passes either on as it came.
+  if (undo == nullptr) return reply;
+  undo(self, pkt);
+  if (!reply) return fail(self, pkt, Errc::kInternal);
+  return reply;
+}
+
+void Handlers::granted(CServ& self, const proto::Packet& pkt, ResVer version,
+                       BwKbps bw_kbps, UnixSec exp_time) {
+  const char* verdict = names_of(pkt.type).verdict;
+  const bool activation = pkt.type == proto::PacketType::kSegActivation;
+  if (self.cfg_.events != nullptr) {
+    auto event = self.cfg_.events->emit(telemetry::Severity::kInfo, "cserv",
+                                        verdict);
+    event.str("as", self.local_.to_string())
+        .str("src_as", pkt.resinfo.src_as.to_string())
+        .u64("res_id", pkt.resinfo.res_id)
+        .u64("version", version)
+        .u64("bw_kbps", bw_kbps)
+        .u64("exp_time", exp_time);
+    if (!activation) event.u64("hop", pkt.current_hop);
+  }
+  // Trace-context propagation: the handler runs under the bus span of the
+  // hop call that delivered the request, so tag that span with what this
+  // AS decided — the Perfetto export then shows the verdict on every hop
+  // without a context parameter.
+  telemetry::SpanCollector& tracer = self.bus_->tracer();
+  if (tracer.in_span()) {
+    tracer.annotate("verdict", verdict);
+    tracer.annotate("res_id", std::to_string(pkt.resinfo.res_id));
+    if (activation) {
+      tracer.annotate("version", std::to_string(version));
+    } else {
+      tracer.annotate("bw_kbps", std::to_string(bw_kbps));
+    }
+  }
+}
+
+CServ::Reply Handlers::fail(CServ& self, const proto::Packet& pkt,
+                            Errc code) {
   // Every refusal funnels through here, so this is the single audit
   // point for denials: the event names the refusing AS (the bottleneck
   // location the initiator learns per §3.3) and the unified reason.
+  const std::uint8_t hop = pkt.current_hop;
   if (self.cfg_.events != nullptr) {
     self.cfg_.events
         ->emit(telemetry::Severity::kWarn, "cserv", "request.denied")
         .str("as", self.local_.to_string())
-        .str("request", request_name(pkt.type))
+        .str("request", names_of(pkt.type).request)
         .str("reason", errc_name(code))
         .str("at", self.local_.to_string())
         .u64("hop", hop)
@@ -124,219 +296,108 @@ Bytes Handlers::fail(CServ& self, const proto::Packet& pkt, Errc code,
     tracer.annotate("reason", errc_name(code));
     tracer.annotate("res_id", std::to_string(pkt.resinfo.res_id));
   }
-  proto::ControlResponse resp;
-  resp.success = false;
-  resp.fail_code = code;
-  resp.fail_hop = hop;
-  return respond(self, pkt, resp);
+  Reply r;
+  r.hop = hop;
+  r.resp.success = false;
+  r.resp.fail_code = code;
+  r.resp.fail_hop = hop;
+  return r;
 }
 
-Bytes Handlers::respond(CServ& self, const proto::Packet& pkt,
-                        const proto::ControlResponse& resp) {
-  return proto::encode_packet(self.make_response_packet(pkt, resp));
-}
-
-drkey::Key128 Handlers::source_key(CServ& self, const proto::ResInfo& ri) {
-  // K_{me -> SrcAS}: derived on the fly from the local secret value, once
-  // per request — no per-source state, which is what makes request
-  // filtering DoC-resistant (§5.3).
-  return self.drkey_engine_.as_key(ri.src_as, self.clock_->now_sec());
-}
-
-bool Handlers::verify_payload_mac(const crypto::Cmac& src_mac,
-                                  const proto::AuthedPayload& ap,
-                                  const proto::ResInfo& ri, std::uint8_t hop) {
-  if (hop >= ap.macs.size()) return false;
-  const Bytes input = proto::auth_input(ap.message, ri);
-  std::uint8_t tag[crypto::Cmac::kTagSize];
-  src_mac.compute(input, tag);
-  return crypto::Cmac::verify_prefix(tag, ap.macs[hop].data(), sizeof(tag));
-}
-
-Bytes Handlers::process_request(CServ& self, proto::Packet pkt) {
-  auto ap = proto::decode_authed(pkt.payload);
-  if (!ap) return fail(self, pkt, Errc::kMalformed, pkt.current_hop);
-
-  switch (pkt.type) {
-    case proto::PacketType::kSegSetup:
-    case proto::PacketType::kSegRenewal:
-      return handle_seg(self, pkt, *ap);
-    case proto::PacketType::kSegActivation:
-      return handle_seg_activation(self, pkt, *ap);
-    case proto::PacketType::kEerSetup:
-    case proto::PacketType::kEerRenewal:
-      return handle_eer(self, pkt, *ap);
-    default:
-      return fail(self, pkt, Errc::kMalformed, pkt.current_hop);
-  }
+CServ::Reply Handlers::bottleneck_reply(std::uint8_t hop,
+                                        const std::vector<BwKbps>& granted,
+                                        BwKbps cap) {
+  // The last AS's answer to a setup or renewal: success at the bottleneck
+  // of the grants collected on the forward pass, capped at `cap`.
+  Reply r;
+  r.hop = hop;
+  r.resp.success = true;
+  r.resp.final_bw_kbps =
+      std::min(*std::min_element(granted.begin(), granted.end()), cap);
+  return r;
 }
 
 // --- segment reservations ---------------------------------------------------
 
-Bytes Handlers::handle_seg(CServ& self, proto::Packet& pkt,
-                           proto::AuthedPayload& ap) {
-  auto* msg = std::get_if<proto::SegRequest>(&ap.message);
-  const std::uint8_t hop = pkt.current_hop;
-  if (msg == nullptr || hop >= msg->ases.size() ||
-      msg->ases.size() != pkt.path.size() || msg->ases[hop] != self.local_) {
-    return fail(self, pkt, Errc::kMalformed, hop);
-  }
-  self.metrics_.seg_requests.inc();
-  const TimeNs now = self.clock_->now_ns();
+admission::SegrAdmissionRequest Handlers::segr_admission(
+    CServ& self, const proto::Packet& pkt, BwKbps min_bw, BwKbps demand) {
+  admission::SegrAdmissionRequest req;
+  req.now = self.clock_->now_sec();
+  req.src_as = pkt.resinfo.src_as;
+  req.key = pkt.resinfo.key();
+  req.ingress = pkt.path[pkt.current_hop].ingress;
+  req.egress = pkt.path[pkt.current_hop].egress;
+  req.min_bw_kbps = min_bw;
+  req.demand_kbps = demand;
+  return req;
+}
 
-  const crypto::Cmac src_mac(source_key(self, pkt.resinfo).bytes.data());
-  if (!verify_payload_mac(src_mac, ap, pkt.resinfo, hop)) {
-    self.metrics_.auth_failures.inc();
-    return fail(self, pkt, Errc::kAuthFailed, hop);
-  }
-  if (!self.rate_limiter_.allow_request(pkt.resinfo.src_as, now)) {
-    self.metrics_.rate_limited.inc();
-    return fail(self, pkt, Errc::kRateLimited, hop);
-  }
-  if (self.denied_sources_.contains(pkt.resinfo.src_as)) {
-    return fail(self, pkt, Errc::kBlocked, hop);
-  }
+std::optional<CServ::Reply> Handlers::handle_seg(CServ& self,
+                                                 const proto::Packet& pkt,
+                                                 proto::AuthedPayload& ap) {
+  auto& msg = std::get<proto::SegRequest>(ap.message);
+  const std::uint8_t hop = pkt.current_hop;
   const bool renewal = pkt.type == proto::PacketType::kSegRenewal;
   if (renewal) {
     if (!self.db_.contains_segr(pkt.resinfo.key())) {
-      return fail(self, pkt, Errc::kNoSuchReservation, hop);
+      return fail(self, pkt, Errc::kNoSuchReservation);
     }
-    if (!self.rate_limiter_.allow_renewal(pkt.resinfo.key(), now)) {
+    if (!self.rate_limiter_.allow_renewal(pkt.resinfo.key(),
+                                          self.clock_->now_ns())) {
       self.metrics_.rate_limited.inc();
-      return fail(self, pkt, Errc::kRateLimited, hop);
+      return fail(self, pkt, Errc::kRateLimited);
     }
   }
 
   // Admission (§4.7): how much can this AS grant between the request's
-  // ingress and egress interfaces? O(1) in existing SegRs.
-  admission::SegrAdmissionRequest areq;
-  areq.now = self.clock_->now_sec();
-  areq.src_as = pkt.resinfo.src_as;
-  areq.key = pkt.resinfo.key();
-  areq.ingress = pkt.path[hop].ingress;
-  areq.egress = pkt.path[hop].egress;
-  areq.min_bw_kbps = msg->min_bw_kbps;
-  areq.demand_kbps = msg->max_bw_kbps;
+  // ingress and egress interfaces? O(1) in existing SegRs. A refusal
+  // tells the initiator where the bottleneck is (§3.3).
   auto admitted = [&] {
     AdmissionTimer timer(self.bus_->tracer());
-    return self.admission_->admit_segr(areq);
+    return self.admission_->admit_segr(
+        segr_admission(self, pkt, msg.min_bw_kbps, msg.max_bw_kbps));
   }();
-  if (!admitted) {
-    // Clean up and tell the initiator where the bottleneck is (§3.3).
-    return fail(self, pkt, admitted.error(), hop);
-  }
-  return forward_and_unwind_seg(self, pkt, ap, *msg, admitted.value());
-}
+  if (!admitted) return fail(self, pkt, admitted.error());
 
-Bytes Handlers::forward_and_unwind_seg(CServ& self, proto::Packet& pkt,
-                                       proto::AuthedPayload& ap,
-                                       const proto::SegRequest& msg,
-                                       BwKbps my_grant) {
-  const std::uint8_t hop = pkt.current_hop;
-  const bool renewal = pkt.type == proto::PacketType::kSegRenewal;
-  const bool last = hop + 1u >= msg.ases.size();
-
-  Bytes resp_wire;
-  if (last) {
-    proto::ControlResponse resp;
-    resp.success = true;
-    BwKbps final_bw = my_grant;
-    auto granted = msg.granted;
-    granted.push_back(my_grant);
-    for (BwKbps g : granted) final_bw = std::min(final_bw, g);
-    resp.final_bw_kbps = std::min(final_bw, msg.max_bw_kbps);
-    resp.tokens.assign(msg.ases.size(), proto::Hvf{});
-    resp_wire = respond(self, pkt, resp);
+  msg.granted.push_back(admitted.value());
+  std::optional<Reply> reply;
+  if (hop + 1u < msg.ases.size()) {
+    reply = forward(self, pkt, ap, msg.ases[hop + 1]);
   } else {
-    // Forward pass: record our grant and hand the request to the next AS.
-    auto* fwd_msg = std::get_if<proto::SegRequest>(&ap.message);
-    fwd_msg->granted.push_back(my_grant);
-    proto::Packet fwd = pkt;
-    fwd.current_hop = hop + 1;
-    fwd.payload = proto::encode_authed(ap);
-    stamp_child_context(*self.bus_, fwd);
-    resp_wire = self.bus_->call(msg.ases[hop + 1], wire::packet_frame(proto::encode_packet(fwd)));
+    reply = bottleneck_reply(hop, msg.granted, msg.max_bw_kbps);
+    reply->resp.tokens.assign(msg.ases.size(), proto::Hvf{});
+  }
+  if (!reply || !reply->resp.success) {
+    return unwind(self, pkt, std::move(reply), &undo_seg);
   }
 
-  // Backward pass.
-  auto resp_pkt = proto::decode_packet(resp_wire);
-  auto resp_ap = resp_pkt ? proto::decode_authed(resp_pkt->payload)
-                          : std::nullopt;
-  auto* resp = resp_ap ? std::get_if<proto::ControlResponse>(&resp_ap->message)
-                       : nullptr;
-  if (resp == nullptr) {
-    self.admission_->release_segr(pkt.resinfo.key());
-    return fail(self, pkt, Errc::kInternal, hop);
-  }
-  if (!resp->success) {
-    // Unsuccessful request: clean up the temporary allocation (§3.3).
-    if (renewal) {
-      // Restore the active version's allocation.
-      if (const auto rec = self.db_.segr_copy(pkt.resinfo.key())) {
-        admission::SegrAdmissionRequest restore;
-        restore.now = self.clock_->now_sec();
-        restore.src_as = pkt.resinfo.src_as;
-        restore.key = pkt.resinfo.key();
-        restore.ingress = pkt.path[hop].ingress;
-        restore.egress = pkt.path[hop].egress;
-        restore.min_bw_kbps = 0;
-        restore.demand_kbps = rec->active.bw_kbps;
-        (void)self.admission_->admit_segr(restore);
-      }
-    } else {
-      self.admission_->release_segr(pkt.resinfo.key());
-    }
-    return resp_wire;
-  }
-
-  // Success: store the final bandwidth, shrink the ledger entry to it, and
-  // contribute our token (Eq. 3).
-  const BwKbps final_bw = resp->final_bw_kbps;
-  admission::SegrAdmissionRequest finalize;
-  finalize.now = self.clock_->now_sec();
-  finalize.src_as = pkt.resinfo.src_as;
-  finalize.key = pkt.resinfo.key();
-  finalize.ingress = pkt.path[hop].ingress;
-  finalize.egress = pkt.path[hop].egress;
-  finalize.min_bw_kbps = 0;
-  finalize.demand_kbps = final_bw;
-  (void)self.admission_->admit_segr(finalize);
-
-  store_segr(self, pkt, msg, final_bw, renewal);
-
+  // Success: shrink the ledger entry to the final bandwidth, store it, and
+  // contribute this AS's token (Eq. 3).
   proto::ResInfo final_ri = pkt.resinfo;
-  final_ri.bw_kbps = final_bw;
-  if (hop < resp->tokens.size()) {
-    resp->tokens[hop] = dataplane::compute_seg_hvf(
+  final_ri.bw_kbps = reply->resp.final_bw_kbps;
+  (void)self.admission_->admit_segr(
+      segr_admission(self, pkt, 0, final_ri.bw_kbps));
+  store_segr(self, pkt, msg, final_ri.bw_kbps, renewal);
+  if (hop < reply->resp.tokens.size()) {
+    reply->resp.tokens[hop] = dataplane::compute_seg_hvf(
         self.hop_cipher_, final_ri, pkt.path[hop].ingress,
         pkt.path[hop].egress);
   }
   self.metrics_.seg_granted.inc();
-  if (self.cfg_.events != nullptr) {
-    self.cfg_.events
-        ->emit(telemetry::Severity::kInfo, "cserv",
-               renewal ? "segr.renewed" : "segr.admitted")
-        .str("as", self.local_.to_string())
-        .str("src_as", pkt.resinfo.src_as.to_string())
-        .u64("res_id", pkt.resinfo.res_id)
-        .u64("version", pkt.resinfo.version)
-        .u64("bw_kbps", final_bw)
-        .u64("exp_time", pkt.resinfo.exp_time)
-        .u64("hop", hop);
-  }
-  // Trace-context propagation: this handler ran under the bus span of
-  // the hop call that delivered the request, so tag that span with what
-  // this AS decided — the Perfetto export then shows the admission
-  // verdict on every hop of the setup without a context parameter.
-  telemetry::SpanCollector& tracer = self.bus_->tracer();
-  if (tracer.in_span()) {
-    tracer.annotate("verdict", renewal ? "segr.renewed" : "segr.admitted");
-    tracer.annotate("res_id", std::to_string(pkt.resinfo.res_id));
-    tracer.annotate("bw_kbps", std::to_string(final_bw));
-  }
+  granted(self, pkt, pkt.resinfo.version, final_ri.bw_kbps,
+          pkt.resinfo.exp_time);
+  return reply;
+}
 
-  resp_pkt->payload = proto::encode_authed(*resp_ap);
-  return proto::encode_packet(*resp_pkt);
+void Handlers::undo_seg(CServ& self, const proto::Packet& pkt) {
+  // A renewal falls back to the active version's allocation; a setup
+  // releases its own.
+  if (pkt.type != proto::PacketType::kSegRenewal) {
+    self.admission_->release_segr(pkt.resinfo.key());
+  } else if (const auto rec = self.db_.segr_copy(pkt.resinfo.key())) {
+    (void)self.admission_->admit_segr(
+        segr_admission(self, pkt, 0, rec->active.bw_kbps));
+  }
 }
 
 void Handlers::store_segr(CServ& self, const proto::Packet& pkt,
@@ -372,44 +433,28 @@ void Handlers::store_segr(CServ& self, const proto::Packet& pkt,
   });
 }
 
-Bytes Handlers::handle_seg_activation(CServ& self, proto::Packet& pkt,
-                                      proto::AuthedPayload& ap) {
-  auto* msg = std::get_if<proto::SegActivation>(&ap.message);
+std::optional<CServ::Reply> Handlers::handle_activation(
+    CServ& self, const proto::Packet& pkt, proto::AuthedPayload& ap) {
+  const ResVer version = std::get<proto::SegActivation>(ap.message).version;
   const std::uint8_t hop = pkt.current_hop;
-  if (msg == nullptr) return fail(self, pkt, Errc::kMalformed, hop);
-  const crypto::Cmac src_mac(source_key(self, pkt.resinfo).bytes.data());
-  if (!verify_payload_mac(src_mac, ap, pkt.resinfo, hop)) {
-    self.metrics_.auth_failures.inc();
-    return fail(self, pkt, Errc::kAuthFailed, hop);
-  }
   const auto rec = self.db_.segr_copy(pkt.resinfo.key());
-  if (!rec) {
-    return fail(self, pkt, Errc::kNoSuchReservation, hop);
-  }
-  if (!rec->pending || rec->pending->version != msg->version) {
-    return fail(self, pkt, Errc::kBadVersion, hop);
+  if (!rec) return fail(self, pkt, Errc::kNoSuchReservation);
+  if (!rec->pending || rec->pending->version != version) {
+    return fail(self, pkt, Errc::kBadVersion);
   }
 
-  const bool last = hop + 1u >= rec->hops.size();
-  Bytes resp_wire;
-  if (last) {
-    proto::ControlResponse resp;
-    resp.success = true;
-    resp.final_bw_kbps = rec->pending->bw_kbps;
-    resp_wire = respond(self, pkt, resp);
+  std::optional<Reply> reply;
+  if (hop + 1u < rec->hops.size()) {
+    reply = forward(self, pkt, ap, rec->hops[hop + 1].as);
   } else {
-    proto::Packet fwd = pkt;
-    fwd.current_hop = hop + 1;
-    stamp_child_context(*self.bus_, fwd);
-    resp_wire =
-        self.bus_->call(rec->hops[hop + 1].as, wire::packet_frame(proto::encode_packet(fwd)));
+    reply.emplace();
+    reply->hop = hop;
+    reply->resp.success = true;
+    reply->resp.final_bw_kbps = rec->pending->bw_kbps;
   }
-  auto resp_pkt = proto::decode_packet(resp_wire);
-  auto resp_ap =
-      resp_pkt ? proto::decode_authed(resp_pkt->payload) : std::nullopt;
-  auto* resp = resp_ap ? std::get_if<proto::ControlResponse>(&resp_ap->message)
-                       : nullptr;
-  if (resp == nullptr || !resp->success) return resp_wire;
+  if (!reply || !reply->resp.success) {
+    return unwind(self, pkt, std::move(reply), nullptr);
+  }
 
   // Switch: only one version of a SegR is ever live (§4.2). Re-validate
   // under the shard lock — the record may have been swept or renewed
@@ -418,7 +463,7 @@ Bytes Handlers::handle_seg_activation(CServ& self, proto::Packet& pkt,
   const bool switched = self.db_.with_segr(
       pkt.resinfo.key(), [&](reservation::SegrRecord* stored) {
         if (stored == nullptr || !stored->pending ||
-            stored->pending->version != msg->version) {
+            stored->pending->version != version) {
           return false;
         }
         stored->active = *stored->pending;
@@ -427,58 +472,25 @@ Bytes Handlers::handle_seg_activation(CServ& self, proto::Packet& pkt,
         if (self.wal_ != nullptr) self.wal_->log_segr_upsert(*stored);
         return true;
       });
-  if (!switched) return fail(self, pkt, Errc::kBadVersion, hop);
-  if (self.cfg_.events != nullptr) {
-    self.cfg_.events
-        ->emit(telemetry::Severity::kInfo, "cserv", "segr.activated")
-        .str("as", self.local_.to_string())
-        .str("src_as", pkt.resinfo.src_as.to_string())
-        .u64("res_id", pkt.resinfo.res_id)
-        .u64("version", msg->version)
-        .u64("bw_kbps", activated.bw_kbps)
-        .u64("exp_time", activated.exp_time);
-  }
-  telemetry::SpanCollector& tracer = self.bus_->tracer();
-  if (tracer.in_span()) {
-    tracer.annotate("verdict", "segr.activated");
-    tracer.annotate("res_id", std::to_string(pkt.resinfo.res_id));
-    tracer.annotate("version", std::to_string(msg->version));
-  }
-  return resp_wire;
+  if (!switched) return fail(self, pkt, Errc::kBadVersion);
+  granted(self, pkt, version, activated.bw_kbps, activated.exp_time);
+  return reply;
 }
 
 // --- end-to-end reservations --------------------------------------------------
 
-Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
-                           proto::AuthedPayload& ap) {
-  auto* msg = std::get_if<proto::EerRequest>(&ap.message);
+std::optional<CServ::Reply> Handlers::handle_eer(CServ& self,
+                                                 const proto::Packet& pkt,
+                                                 proto::AuthedPayload& ap,
+                                                 const crypto::Eax& src) {
+  auto& msg = std::get<proto::EerRequest>(ap.message);
   const std::uint8_t hop = pkt.current_hop;
-  if (msg == nullptr || hop >= msg->ases.size() ||
-      msg->ases.size() != msg->path.size() || msg->ases[hop] != self.local_) {
-    return fail(self, pkt, Errc::kMalformed, hop);
-  }
-  self.metrics_.eer_requests.inc();
-  const TimeNs now = self.clock_->now_ns();
   const UnixSec now_sec = self.clock_->now_sec();
-
-  // One context under K_{me -> SrcAS} checks the request's MAC here and
-  // seals this AS's hop authenticator on the way back.
-  const crypto::Eax src_ctx(source_key(self, pkt.resinfo).bytes.data());
-  if (!verify_payload_mac(src_ctx.cmac(), ap, pkt.resinfo, hop)) {
-    self.metrics_.auth_failures.inc();
-    return fail(self, pkt, Errc::kAuthFailed, hop);
-  }
-  if (!self.rate_limiter_.allow_request(pkt.resinfo.src_as, now)) {
+  if (pkt.type == proto::PacketType::kEerRenewal &&
+      !self.rate_limiter_.allow_renewal(pkt.resinfo.key(),
+                                        self.clock_->now_ns())) {
     self.metrics_.rate_limited.inc();
-    return fail(self, pkt, Errc::kRateLimited, hop);
-  }
-  if (self.denied_sources_.contains(pkt.resinfo.src_as)) {
-    return fail(self, pkt, Errc::kBlocked, hop);
-  }
-  const bool renewal = pkt.type == proto::PacketType::kEerRenewal;
-  if (renewal && !self.rate_limiter_.allow_renewal(pkt.resinfo.key(), now)) {
-    self.metrics_.rate_limited.inc();
-    return fail(self, pkt, Errc::kRateLimited, hop);
+    return fail(self, pkt, Errc::kRateLimited);
   }
 
   // Locate the SegR(s) this EER rides at this AS: one for source/transit/
@@ -487,7 +499,7 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
   std::optional<ResKey> segr_in;
   std::optional<ResKey> segr_out;
   std::vector<reservation::SegrRecord> rides;
-  for (const ResKey& sk : msg->segrs) {
+  for (const ResKey& sk : msg.segrs) {
     auto rec = self.db_.segr_copy(sk);
     if (!rec) continue;
     if (!segr_in) {
@@ -500,13 +512,13 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
     rides.push_back(std::move(*rec));
   }
   if (!segr_in) {
-    return fail(self, pkt, Errc::kNoSuchSegment, hop);
+    return fail(self, pkt, Errc::kNoSuchSegment);
   }
   for (const reservation::SegrRecord& rec : rides) {
     if (rec.expired(now_sec)) {
       // App. C: signal expiry so the initiator can invalidate its cache
       // and retry with the new version.
-      return fail(self, pkt, Errc::kExpired, hop);
+      return fail(self, pkt, Errc::kExpired);
     }
   }
   // Whitelist enforcement by the SegR's initiating AS (App. C).
@@ -515,7 +527,7 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
     if (rec.key.src_as != self.local_) continue;
     if (auto advert = self.registry_.find(rec.key);
         advert && !advert->usable_by(pkt.resinfo.src_as)) {
-      return fail(self, pkt, Errc::kNotWhitelisted, hop);
+      return fail(self, pkt, Errc::kNotWhitelisted);
     }
   }
 
@@ -523,11 +535,11 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
   BwKbps demand = pkt.resinfo.bw_kbps;
   // Source/destination policy (§4.7): per-host cap.
   const bool is_source = hop == 0;
-  const bool is_dest = hop + 1u >= msg->ases.size();
+  const bool is_dest = hop + 1u >= msg.ases.size();
   if (is_source || is_dest) {
-    if (msg->min_bw_kbps > self.cfg_.per_host_eer_cap_kbps) {
+    if (msg.min_bw_kbps > self.cfg_.per_host_eer_cap_kbps) {
       self.metrics_.policy_denied.inc();
-      return fail(self, pkt, Errc::kPolicyDenied, hop);
+      return fail(self, pkt, Errc::kPolicyDenied);
     }
     demand = std::min(demand, self.cfg_.per_host_eer_cap_kbps);
   }
@@ -535,115 +547,58 @@ Bytes Handlers::handle_eer(CServ& self, proto::Packet& pkt,
   if (is_dest && self.host_acceptor_ &&
       !self.host_acceptor_(pkt.eerinfo, demand)) {
     self.metrics_.policy_denied.inc();
-    return fail(self, pkt, Errc::kPolicyDenied, hop);
+    return fail(self, pkt, Errc::kPolicyDenied);
   }
 
   admission::EerAdmission::Request areq;
   areq.eer_key = pkt.resinfo.key();
   areq.demand_kbps = demand;
-  areq.min_bw_kbps = msg->min_bw_kbps;
+  areq.min_bw_kbps = msg.min_bw_kbps;
   areq.segr_in = segr_in;
   areq.segr_out = segr_out;
   auto admitted = [&] {
     AdmissionTimer timer(self.bus_->tracer());
     return self.admission_->admit_eer(self.db_, areq, now_sec);
   }();
-  if (!admitted) return fail(self, pkt, admitted.error(), hop);
+  if (!admitted) return fail(self, pkt, admitted.error());
 
-  return forward_and_unwind_eer(self, pkt, ap, *msg, admitted.value(),
-                                src_ctx);
-}
-
-Bytes Handlers::forward_and_unwind_eer(CServ& self, proto::Packet& pkt,
-                                       proto::AuthedPayload& ap,
-                                       const proto::EerRequest& msg,
-                                       BwKbps my_grant,
-                                       const crypto::Eax& src_ctx) {
-  const std::uint8_t hop = pkt.current_hop;
-  const bool last = hop + 1u >= msg.ases.size();
-
-  Bytes resp_wire;
-  if (last) {
-    proto::ControlResponse resp;
-    resp.success = true;
-    BwKbps final_bw = my_grant;
-    auto granted = msg.granted;
-    granted.push_back(my_grant);
-    for (BwKbps g : granted) final_bw = std::min(final_bw, g);
-    resp.final_bw_kbps = std::min(final_bw, pkt.resinfo.bw_kbps);
-    resp.sealed_hopauths.assign(msg.ases.size(), Bytes{});
-    resp_wire = respond(self, pkt, resp);
+  msg.granted.push_back(admitted.value());
+  std::optional<Reply> reply;
+  if (!is_dest) {
+    reply = forward(self, pkt, ap, msg.ases[hop + 1]);
   } else {
-    auto* fwd_msg = std::get_if<proto::EerRequest>(&ap.message);
-    fwd_msg->granted.push_back(my_grant);
-    // At a transfer AS the request payload is copied into a fresh Colibri
-    // packet for the next SegR (§4.4); in this model that is the re-encoded
-    // packet handed to the next AS.
-    proto::Packet fwd = pkt;
-    fwd.current_hop = hop + 1;
-    fwd.payload = proto::encode_authed(ap);
-    stamp_child_context(*self.bus_, fwd);
-    resp_wire = self.bus_->call(msg.ases[hop + 1], wire::packet_frame(proto::encode_packet(fwd)));
+    reply = bottleneck_reply(hop, msg.granted, pkt.resinfo.bw_kbps);
+    reply->resp.sealed_hopauths.assign(msg.ases.size(), Bytes{});
+  }
+  if (!reply || !reply->resp.success) {
+    return unwind(self, pkt, std::move(reply), &undo_eer);
   }
 
-  auto resp_pkt = proto::decode_packet(resp_wire);
-  auto resp_ap =
-      resp_pkt ? proto::decode_authed(resp_pkt->payload) : std::nullopt;
-  auto* resp = resp_ap ? std::get_if<proto::ControlResponse>(&resp_ap->message)
-                       : nullptr;
-  if (resp == nullptr) {
-    self.admission_->release_eer(self.db_, pkt.resinfo.key());
-    return fail(self, pkt, Errc::kInternal, hop);
-  }
-  if (!resp->success) {
-    self.admission_->release_eer(self.db_, pkt.resinfo.key());
-    return resp_wire;
-  }
-
-  const BwKbps final_bw = resp->final_bw_kbps;
-  store_eer(self, pkt, msg, final_bw);
+  proto::ResInfo final_ri = pkt.resinfo;
+  final_ri.bw_kbps = reply->resp.final_bw_kbps;
+  store_eer(self, pkt, msg, final_ri.bw_kbps);
 
   // Issue the hop authenticator σ_i over the *final* reservation
   // parameters (Eq. 4) and seal it for the source AS (Eq. 5).
-  proto::ResInfo final_ri = pkt.resinfo;
-  final_ri.bw_kbps = final_bw;
   const dataplane::HopAuth sigma = dataplane::compute_hopauth(
       self.hop_cipher_, final_ri, pkt.eerinfo, msg.path[hop].ingress,
       msg.path[hop].egress);
-
   std::uint8_t nonce[16];
   self.rng_.fill(nonce, sizeof(nonce));
   const Bytes aad = wire::hopauth_aad(final_ri, hop);
-  if (hop < resp->sealed_hopauths.size()) {
-    resp->sealed_hopauths[hop] =
-        src_ctx.seal(BytesView(nonce, sizeof(nonce)), aad,
-                     BytesView(sigma.data(), sigma.size()));
+  if (hop < reply->resp.sealed_hopauths.size()) {
+    reply->resp.sealed_hopauths[hop] =
+        src.seal(BytesView(nonce, sizeof(nonce)), aad,
+                 BytesView(sigma.data(), sigma.size()));
   }
   self.metrics_.eer_granted.inc();
-  if (self.cfg_.events != nullptr) {
-    self.cfg_.events
-        ->emit(telemetry::Severity::kInfo, "cserv",
-               pkt.type == proto::PacketType::kEerRenewal ? "eer.renewed"
-                                                          : "eer.admitted")
-        .str("as", self.local_.to_string())
-        .str("src_as", pkt.resinfo.src_as.to_string())
-        .u64("res_id", pkt.resinfo.res_id)
-        .u64("version", pkt.resinfo.version)
-        .u64("bw_kbps", final_bw)
-        .u64("exp_time", pkt.resinfo.exp_time)
-        .u64("hop", hop);
-  }
-  telemetry::SpanCollector& tracer = self.bus_->tracer();
-  if (tracer.in_span()) {
-    tracer.annotate("verdict", pkt.type == proto::PacketType::kEerRenewal
-                                   ? "eer.renewed"
-                                   : "eer.admitted");
-    tracer.annotate("res_id", std::to_string(pkt.resinfo.res_id));
-    tracer.annotate("bw_kbps", std::to_string(final_bw));
-  }
+  granted(self, pkt, pkt.resinfo.version, final_ri.bw_kbps,
+          pkt.resinfo.exp_time);
+  return reply;
+}
 
-  resp_pkt->payload = proto::encode_authed(*resp_ap);
-  return proto::encode_packet(*resp_pkt);
+void Handlers::undo_eer(CServ& self, const proto::Packet& pkt) {
+  self.admission_->release_eer(self.db_, pkt.resinfo.key());
 }
 
 void Handlers::store_eer(CServ& self, const proto::Packet& pkt,
@@ -673,11 +628,6 @@ void Handlers::store_eer(CServ& self, const proto::Packet& pkt,
   self.db_.upsert_eer(std::move(rec), [&](reservation::EerRecord& stored) {
     if (self.wal_ != nullptr) self.wal_->log_eer_upsert(stored);
   });
-}
-
-// Out-of-line bridge used by CServ (declared friend).
-Bytes process_request_bridge(CServ& self, proto::Packet pkt) {
-  return Handlers::process_request(self, std::move(pkt));
 }
 
 }  // namespace colibri::cserv

@@ -33,12 +33,7 @@ inline void put_advert(Bytes& out, const SegrAdvert& a) {
   put_le(out, a.key.src_as.raw());
   put_le(out, a.key.res_id);
   out.push_back(static_cast<std::uint8_t>(a.seg_type));
-  put_le(out, static_cast<std::uint16_t>(a.hops.size()));
-  for (const auto& h : a.hops) {
-    put_le(out, h.as.raw());
-    put_le(out, static_cast<std::uint16_t>(h.ingress));
-    put_le(out, static_cast<std::uint16_t>(h.egress));
-  }
+  topology::put_hops(out, a.hops);
   put_le(out, a.bw_kbps);
   put_le(out, a.exp_time);
   put_le(out, static_cast<std::uint16_t>(a.whitelist.size()));
@@ -50,15 +45,7 @@ inline std::optional<SegrAdvert> get_advert(ByteReader& r) {
   a.key.src_as = AsId::from_raw(r.read<std::uint64_t>());
   a.key.res_id = r.read<std::uint32_t>();
   a.seg_type = static_cast<topology::SegType>(r.read<std::uint8_t>());
-  const auto nh = r.read<std::uint16_t>();
-  a.hops.reserve(nh);
-  for (std::uint16_t i = 0; i < nh; ++i) {
-    topology::Hop h;
-    h.as = AsId::from_raw(r.read<std::uint64_t>());
-    h.ingress = r.read<std::uint16_t>();
-    h.egress = r.read<std::uint16_t>();
-    a.hops.push_back(h);
-  }
+  a.hops = topology::get_hops(r);
   a.bw_kbps = r.read<std::uint32_t>();
   a.exp_time = r.read<std::uint32_t>();
   const auto nw = r.read<std::uint16_t>();
@@ -135,12 +122,7 @@ inline Bytes encode_down_request(const DownSegrRequest& q) {
   put_le(out, q.requester.raw());
   put_le(out, q.min_bw_kbps);
   put_le(out, q.max_bw_kbps);
-  put_le(out, static_cast<std::uint16_t>(q.hops.size()));
-  for (const auto& h : q.hops) {
-    put_le(out, h.as.raw());
-    put_le(out, static_cast<std::uint16_t>(h.ingress));
-    put_le(out, static_cast<std::uint16_t>(h.egress));
-  }
+  topology::put_hops(out, q.hops);
   return out;
 }
 
@@ -150,15 +132,7 @@ inline std::optional<DownSegrRequest> decode_down_request(BytesView body) {
   q.requester = AsId::from_raw(r.read<std::uint64_t>());
   q.min_bw_kbps = r.read<std::uint32_t>();
   q.max_bw_kbps = r.read<std::uint32_t>();
-  const auto nh = r.read<std::uint16_t>();
-  q.hops.reserve(nh);
-  for (std::uint16_t i = 0; i < nh; ++i) {
-    topology::Hop h;
-    h.as = AsId::from_raw(r.read<std::uint64_t>());
-    h.ingress = r.read<std::uint16_t>();
-    h.egress = r.read<std::uint16_t>();
-    q.hops.push_back(h);
-  }
+  q.hops = topology::get_hops(r);
   if (!r.ok() || q.hops.empty()) return std::nullopt;
   return q;
 }

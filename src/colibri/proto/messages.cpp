@@ -38,12 +38,14 @@ std::vector<BwKbps> get_bw_vec(ByteReader& r) {
   return v;
 }
 
-void encode_seg_request(Bytes& out, const SegRequest& m) {
+// Requests end with their `granted` list; auth_input writes an empty one.
+void encode_seg_request(Bytes& out, const SegRequest& m,
+                        const std::vector<BwKbps>& granted) {
   out.push_back(static_cast<std::uint8_t>(m.seg_type));
   put_le(out, m.min_bw_kbps);
   put_le(out, m.max_bw_kbps);
   put_as_vec(out, m.ases);
-  put_bw_vec(out, m.granted);
+  put_bw_vec(out, granted);
 }
 
 SegRequest decode_seg_request(ByteReader& r) {
@@ -56,36 +58,24 @@ SegRequest decode_seg_request(ByteReader& r) {
   return m;
 }
 
-void encode_eer_request(Bytes& out, const EerRequest& m) {
+void encode_eer_request(Bytes& out, const EerRequest& m,
+                        const std::vector<BwKbps>& granted) {
   put_le(out, m.min_bw_kbps);
   put_as_vec(out, m.ases);
-  put_le(out, static_cast<std::uint16_t>(m.path.size()));
-  for (const auto& h : m.path) {
-    put_le(out, h.as.raw());
-    put_le(out, static_cast<std::uint16_t>(h.ingress));
-    put_le(out, static_cast<std::uint16_t>(h.egress));
-  }
+  topology::put_hops(out, m.path);
   put_le(out, static_cast<std::uint16_t>(m.segrs.size()));
   for (const auto& k : m.segrs) {
     put_le(out, k.src_as.raw());
     put_le(out, k.res_id);
   }
-  put_bw_vec(out, m.granted);
+  put_bw_vec(out, granted);
 }
 
 EerRequest decode_eer_request(ByteReader& r) {
   EerRequest m;
   m.min_bw_kbps = r.read<std::uint32_t>();
   m.ases = get_as_vec(r);
-  const auto nh = r.read<std::uint16_t>();
-  m.path.reserve(nh);
-  for (std::uint16_t i = 0; i < nh; ++i) {
-    topology::Hop h;
-    h.as = AsId::from_raw(r.read<std::uint64_t>());
-    h.ingress = r.read<std::uint16_t>();
-    h.egress = r.read<std::uint16_t>();
-    m.path.push_back(h);
-  }
+  m.path = topology::get_hops(r);
   const auto ns = r.read<std::uint16_t>();
   m.segrs.reserve(ns);
   for (std::uint16_t i = 0; i < ns; ++i) {
@@ -114,9 +104,11 @@ void encode_response(Bytes& out, const ControlResponse& m) {
   out.push_back(m.fail_hop);
 }
 
-ControlResponse decode_response(ByteReader& r) {
+std::optional<ControlResponse> decode_response(ByteReader& r) {
   ControlResponse m;
-  m.success = r.read<std::uint8_t>() != 0;
+  const auto success = r.read<std::uint8_t>();
+  if (success > 1) return std::nullopt;  // one encoding per flag
+  m.success = success == 1;
   m.final_bw_kbps = r.read<std::uint32_t>();
   const auto nt = r.read<std::uint16_t>();
   m.tokens.resize(nt);
@@ -132,19 +124,20 @@ ControlResponse decode_response(ByteReader& r) {
   return m;
 }
 
-}  // namespace
-
-Bytes encode_message(const ControlMessage& msg) {
+// Writes `msg` with a request's `granted` list left empty when
+// `with_granted` is false, so auth_input needs no copy of the message.
+Bytes encode(const ControlMessage& msg, bool with_granted) {
+  static const std::vector<BwKbps> kNone;
   Bytes out;
   std::visit(
-      [&out](const auto& m) {
+      [&out, with_granted](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, SegRequest>) {
           out.push_back(static_cast<std::uint8_t>(Tag::kSegRequest));
-          encode_seg_request(out, m);
+          encode_seg_request(out, m, with_granted ? m.granted : kNone);
         } else if constexpr (std::is_same_v<T, EerRequest>) {
           out.push_back(static_cast<std::uint8_t>(Tag::kEerRequest));
-          encode_eer_request(out, m);
+          encode_eer_request(out, m, with_granted ? m.granted : kNone);
         } else if constexpr (std::is_same_v<T, SegActivation>) {
           out.push_back(static_cast<std::uint8_t>(Tag::kSegActivation));
           out.push_back(m.version);
@@ -156,6 +149,10 @@ Bytes encode_message(const ControlMessage& msg) {
       msg);
   return out;
 }
+
+}  // namespace
+
+Bytes encode_message(const ControlMessage& msg) { return encode(msg, true); }
 
 std::optional<ControlMessage> decode_message(BytesView wire) {
   ByteReader r(wire);
@@ -170,20 +167,23 @@ std::optional<ControlMessage> decode_message(BytesView wire) {
       msg = a;
       break;
     }
-    case Tag::kControlResponse: msg = decode_response(r); break;
+    case Tag::kControlResponse: {
+      auto resp = decode_response(r);
+      if (!resp) return std::nullopt;
+      msg = std::move(*resp);
+      break;
+    }
     default: return std::nullopt;
   }
-  if (!r.ok()) return std::nullopt;
+  // One encoding per message: every hop re-encodes what it decodes.
+  if (!r.ok() || r.remaining() != 0) return std::nullopt;
   return msg;
 }
 
 Bytes auth_input(const ControlMessage& msg, const ResInfo& ri) {
-  // Strip the mutable `granted` vector so all ASes MAC the same bytes the
-  // initiator committed to.
-  ControlMessage stripped = msg;
-  if (auto* seg = std::get_if<SegRequest>(&stripped)) seg->granted.clear();
-  if (auto* eer = std::get_if<EerRequest>(&stripped)) eer->granted.clear();
-  Bytes out = encode_message(stripped);
+  // Without the mutable `granted` list, so all ASes MAC the same bytes
+  // the initiator committed to.
+  Bytes out = encode(msg, false);
   put_le(out, ri.src_as.raw());
   put_le(out, ri.res_id);
   put_le(out, ri.exp_time);
@@ -204,16 +204,17 @@ Bytes encode_authed(const AuthedPayload& ap) {
 std::optional<AuthedPayload> decode_authed(BytesView wire) {
   ByteReader r(wire);
   const auto msg_len = r.read<std::uint32_t>();
-  const Bytes msg_bytes = r.read_vec(msg_len);
-  if (!r.ok()) return std::nullopt;
-  auto msg = decode_message(msg_bytes);
+  if (!r.ok() || msg_len > r.remaining()) return std::nullopt;
+  auto msg = decode_message(wire.subspan(sizeof(std::uint32_t), msg_len));
   if (!msg) return std::nullopt;
+  ByteReader macs(wire.subspan(sizeof(std::uint32_t) + msg_len));
+  const auto nm = macs.read<std::uint16_t>();
+  // The MACs end the payload: no trailing bytes.
+  if (!macs.ok() || macs.remaining() != nm * sizeof(Mac16)) return std::nullopt;
   AuthedPayload ap;
   ap.message = std::move(*msg);
-  const auto nm = r.read<std::uint16_t>();
   ap.macs.resize(nm);
-  for (auto& m : ap.macs) r.read_bytes(m.data(), m.size());
-  if (!r.ok()) return std::nullopt;
+  for (auto& m : ap.macs) macs.read_bytes(m.data(), m.size());
   return ap;
 }
 

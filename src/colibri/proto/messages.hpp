@@ -63,6 +63,8 @@ using ControlMessage =
     std::variant<SegRequest, EerRequest, SegActivation, ControlResponse>;
 
 Bytes encode_message(const ControlMessage& msg);
+// Accepts only the canonical encoding (no trailing bytes, `success` 0 or
+// 1), so decode and re-encode give back the same bytes.
 std::optional<ControlMessage> decode_message(BytesView wire);
 
 // The byte string the DRKey payload MACs cover: everything the initiator
@@ -78,6 +80,8 @@ struct AuthedPayload {
 };
 
 Bytes encode_authed(const AuthedPayload& ap);
+// Canonical like decode_message: the message fills `message_len` exactly
+// and the MACs end the payload.
 std::optional<AuthedPayload> decode_authed(BytesView wire);
 
 // --- trace-context block (codec extension, DESIGN.md §4.11) -----------

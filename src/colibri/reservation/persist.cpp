@@ -27,29 +27,6 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-void put_hops(Bytes& out, const std::vector<topology::Hop>& hops) {
-  put_le(out, static_cast<std::uint16_t>(hops.size()));
-  for (const auto& h : hops) {
-    put_le(out, h.as.raw());
-    put_le(out, static_cast<std::uint16_t>(h.ingress));
-    put_le(out, static_cast<std::uint16_t>(h.egress));
-  }
-}
-
-std::vector<topology::Hop> get_hops(ByteReader& r) {
-  const auto n = r.read<std::uint16_t>();
-  std::vector<topology::Hop> hops;
-  hops.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    topology::Hop h;
-    h.as = AsId::from_raw(r.read<std::uint64_t>());
-    h.ingress = r.read<std::uint16_t>();
-    h.egress = r.read<std::uint16_t>();
-    hops.push_back(h);
-  }
-  return hops;
-}
-
 Bytes encode_key(const ResKey& key) {
   Bytes out;
   put_le(out, key.src_as.raw());
@@ -130,7 +107,7 @@ Bytes encode_segr_record(const SegrRecord& rec) {
   put_le(out, rec.key.src_as.raw());
   put_le(out, rec.key.res_id);
   out.push_back(static_cast<std::uint8_t>(rec.seg_type));
-  put_hops(out, rec.hops);
+  topology::put_hops(out, rec.hops);
   out.push_back(rec.local_hop);
   out.push_back(rec.active.version);
   put_le(out, rec.active.bw_kbps);
@@ -151,7 +128,7 @@ std::optional<SegrRecord> decode_segr_record(BytesView data) {
   rec.key.src_as = AsId::from_raw(r.read<std::uint64_t>());
   rec.key.res_id = r.read<std::uint32_t>();
   rec.seg_type = static_cast<topology::SegType>(r.read<std::uint8_t>());
-  rec.hops = get_hops(r);
+  rec.hops = topology::get_hops(r);
   rec.local_hop = r.read<std::uint8_t>();
   rec.active.version = r.read<std::uint8_t>();
   rec.active.bw_kbps = r.read<std::uint32_t>();
@@ -176,7 +153,7 @@ Bytes encode_eer_record(const EerRecord& rec) {
   put_le(out, rec.key.res_id);
   append_bytes(out, BytesView(rec.src_host.bytes, 16));
   append_bytes(out, BytesView(rec.dst_host.bytes, 16));
-  put_hops(out, rec.path);
+  topology::put_hops(out, rec.path);
   out.push_back(rec.local_hop);
   put_le(out, static_cast<std::uint16_t>(rec.segrs.size()));
   for (const auto& s : rec.segrs) {
@@ -199,7 +176,7 @@ std::optional<EerRecord> decode_eer_record(BytesView data) {
   rec.key.res_id = r.read<std::uint32_t>();
   r.read_bytes(rec.src_host.bytes, 16);
   r.read_bytes(rec.dst_host.bytes, 16);
-  rec.path = get_hops(r);
+  rec.path = topology::get_hops(r);
   rec.local_hop = r.read<std::uint8_t>();
   const auto ns = r.read<std::uint16_t>();
   rec.segrs.reserve(ns);

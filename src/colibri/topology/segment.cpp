@@ -15,6 +15,29 @@ const char* seg_type_name(SegType t) {
   return "?";
 }
 
+void put_hops(Bytes& out, const std::vector<Hop>& hops) {
+  put_le(out, static_cast<std::uint16_t>(hops.size()));
+  for (const Hop& h : hops) {
+    put_le(out, h.as.raw());
+    put_le(out, static_cast<std::uint16_t>(h.ingress));
+    put_le(out, static_cast<std::uint16_t>(h.egress));
+  }
+}
+
+std::vector<Hop> get_hops(ByteReader& r) {
+  const auto n = r.read<std::uint16_t>();
+  std::vector<Hop> hops;
+  hops.reserve(n);
+  for (std::uint16_t i = 0; i < n; ++i) {
+    Hop h;
+    h.as = AsId::from_raw(r.read<std::uint64_t>());
+    h.ingress = r.read<std::uint16_t>();
+    h.egress = r.read<std::uint16_t>();
+    hops.push_back(h);
+  }
+  return hops;
+}
+
 PathSegment PathSegment::reversed() const {
   PathSegment r;
   switch (type) {

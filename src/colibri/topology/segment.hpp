@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "colibri/common/bytes.hpp"
 #include "colibri/common/ids.hpp"
 
 namespace colibri::topology {
@@ -32,6 +33,13 @@ struct Hop {
 
   friend constexpr auto operator<=>(const Hop&, const Hop&) = default;
 };
+
+// The one wire layout of a hop list, shared by the control messages, the
+// registry adverts, the down-SegR request and the WAL records:
+//   u16 count | (u64 AS, u16 ingress, u16 egress) * count
+void put_hops(Bytes& out, const std::vector<Hop>& hops);
+// Reads a list written by put_hops; check `r.ok()` afterwards.
+std::vector<Hop> get_hops(ByteReader& r);
 
 struct PathSegment {
   SegType type = SegType::kUp;

@@ -25,7 +25,11 @@
 //   7. FastPacket::wire_size() equals the frame length, so Eq. 6 MACs
 //      the real length of every accepted frame;
 //   8. no router path finds an accepted frame malformed: the codec and
-//      the router agree on which bytes are a packet.
+//      the router agree on which bytes are a packet;
+//   9. control payloads are canonical too: when decode_authed accepts an
+//      accepted frame's payload, encode_authed gives back the same bytes.
+//      Every CServ hop re-encodes the request it decodes, so an accepted
+//      alias would change the bytes the next hop sees.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +38,7 @@
 #include "colibri/dataplane/batch.hpp"
 #include "colibri/dataplane/router.hpp"
 #include "colibri/proto/codec.hpp"
+#include "colibri/proto/messages.hpp"
 
 namespace {
 
@@ -64,6 +69,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         "re-encode of an accepted frame is not byte-identical");
   const auto again = colibri::proto::decode_packet(re);
   check(again.has_value() && *again == *pkt, "decode(encode(p)) != p");
+
+  if (const auto ap = colibri::proto::decode_authed(pkt->payload)) {
+    check(colibri::proto::encode_authed(*ap) == pkt->payload,
+          "re-encode of an accepted control payload is not byte-identical");
+  }
 
   // Trace-context invariants on every accepted frame. The O(1) peek the
   // bus uses must agree with the full decode, and the stripped twin

@@ -3,7 +3,10 @@
 // policy, whitelists, dissemination, policing, and the distributed CServ.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "colibri/app/testbed.hpp"
+#include "colibri/common/faults.hpp"
 #include "colibri/crypto/sha256.hpp"
 
 namespace colibri::cserv {
@@ -355,12 +358,12 @@ TEST_F(EerTest, LookupChainsFindsMultiSegmentRoutes) {
 
 TEST_F(EerTest, RemoteAdvertsAreCached) {
   const AsId src{1, 110}, dst{1, 120};
-  const std::uint64_t before = bed_.bus().message_count();
+  const std::uint64_t before = bed_.bus().snapshot().messages;
   (void)bed_.cserv(src).lookup_chains(dst);
-  const std::uint64_t after_first = bed_.bus().message_count();
+  const std::uint64_t after_first = bed_.bus().snapshot().messages;
   EXPECT_GT(after_first, before);  // remote queries happened
   (void)bed_.cserv(src).lookup_chains(dst);
-  const std::uint64_t after_second = bed_.bus().message_count();
+  const std::uint64_t after_second = bed_.bus().snapshot().messages;
   // Cached: the repeat lookup needs strictly fewer remote messages (only
   // the never-hit query pairs are retried; positive results are served
   // from the local registry).
@@ -452,35 +455,57 @@ TEST(DrkeyEpochTest, EerRenewsAcrossEpochAfterTick) {
   renew_across_drkey_epoch(true);
 }
 
-// Pins the control plane's wire bytes: SHA-256 over every bus frame,
-// request and response, each length-prefixed, of a fixed SimClock run:
-// SegR provisioning, then 32 EER setups and 32 renewals from 1-112 to
-// 2-212. Changes that only move work around (caching keys, reusing
-// contexts) must leave the digest as it is.
-TEST(WireIdentityTest, BusFramesMatchGoldenDigest) {
-  SimClock clock(1000 * kNsPerSec);
+// Rate limits no digest run reaches.
+CservConfig unlimited_config() {
   CservConfig cfg;
   cfg.rate_limits.per_as_requests_per_sec = 1e12;
   cfg.rate_limits.per_as_burst = 1e12;
   cfg.rate_limits.renewals_per_reservation_per_sec = 1e12;
   cfg.rate_limits.renewal_burst = 1e12;
-  crypto::Sha256 digest;
-  std::size_t frames = 0;
-  Testbed bed(topology::builders::two_isd_topology(), clock, cfg);
-  for (const AsId as : bed.topology().as_ids()) {
-    CServ* cs = &bed.cserv(as);
-    bed.bus().attach(as, [cs, &digest, &frames](BytesView wire) {
-      Bytes out = cs->handle(wire);
-      for (const BytesView frame : {wire, BytesView(out)}) {
-        Bytes len;
-        put_le(len, static_cast<std::uint32_t>(frame.size()));
-        digest.update(len);
-        digest.update(frame);
-      }
-      ++frames;
-      return out;
-    });
+  return cfg;
+}
+
+// SHA-256 over every bus delivery of a testbed, request and response,
+// each length-prefixed.
+class FrameDigest {
+ public:
+  explicit FrameDigest(Testbed& bed) {
+    for (const AsId as : bed.topology().as_ids()) {
+      CServ* cs = &bed.cserv(as);
+      bed.bus().attach(as, [this, cs](BytesView wire) {
+        Bytes out = cs->handle(wire);
+        for (const BytesView frame : {wire, BytesView(out)}) {
+          Bytes len;
+          put_le(len, static_cast<std::uint32_t>(frame.size()));
+          sha_.update(len);
+          sha_.update(frame);
+        }
+        ++frames_;
+        return out;
+      });
+    }
   }
+
+  std::size_t frames() const { return frames_; }
+  std::string hex() {
+    const auto d = sha_.finish();
+    return to_hex(BytesView(d.data(), d.size()));
+  }
+
+ private:
+  crypto::Sha256 sha_;
+  std::size_t frames_ = 0;
+};
+
+// Pins the control plane's wire bytes: the frames of a fixed SimClock run
+// of SegR provisioning, then 32 EER setups and 32 renewals from 1-112 to
+// 2-212. Changes that only move work around (caching keys, reusing
+// contexts) must leave the digest as it is.
+TEST(WireIdentityTest, BusFramesMatchGoldenDigest) {
+  SimClock clock(1000 * kNsPerSec);
+  Testbed bed(topology::builders::two_isd_topology(), clock,
+              unlimited_config());
+  FrameDigest digest(bed);
   ASSERT_GT(bed.provision_all_segments(100, 2'000'000), 0u);
 
   const AsId src{1, 112}, dst{2, 212};
@@ -499,10 +524,119 @@ TEST(WireIdentityTest, BusFramesMatchGoldenDigest) {
     auto r = bed.cserv(src).renew_eer(k, 100, 1000);
     ASSERT_TRUE(r.ok()) << "renewal: " << errc_name(r.error());
   }
-  const auto d = digest.finish();
-  EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+  EXPECT_EQ(digest.hex(),
             "281bb54fdf9035833c37cf35bbc84bcfd609c0b7e43f430163e12971b5eab395")
-      << frames << " bus deliveries";
+      << digest.frames() << " bus deliveries";
+}
+
+// Pins the frames of the request paths the digest above does not reach:
+// SegR renewal and activation, an activation a downstream AS refuses for
+// its version, a down-SegR request, an EER the destination host vetoes,
+// an EER admission refuses mid-path, a forged-MAC request, and an EER
+// whose next hop the bus drops.
+TEST(WireIdentityTest, RenewalsAndRefusalsMatchGoldenDigest) {
+  SimClock clock(1000 * kNsPerSec);
+  Testbed bed(topology::builders::two_isd_topology(), clock,
+              unlimited_config());
+  FrameDigest digest(bed);
+  ASSERT_GT(bed.provision_all_segments(100, 2'000'000), 0u);
+
+  // SegR renewal + activation, then a renewal whose activation the last
+  // AS refuses because its pending version differs.
+  const AsId leaf{1, 110};
+  const topology::PathSegment up = *bed.pathdb().up_segments_from(leaf).front();
+  auto seg = bed.cserv(leaf).setup_segr(up, 100, 1000);
+  ASSERT_TRUE(seg.ok()) << errc_name(seg.error());
+  const ResKey segr = seg.value().key;
+  auto renewed = bed.cserv(leaf).renew_segr(segr, 100, 2000);
+  ASSERT_TRUE(renewed.ok()) << errc_name(renewed.error());
+  ASSERT_TRUE(bed.cserv(leaf).activate_segr(segr, renewed.value().version).ok());
+  renewed = bed.cserv(leaf).renew_segr(segr, 100, 3000);
+  ASSERT_TRUE(renewed.ok()) << errc_name(renewed.error());
+  bed.cserv(up.last_as()).db().with_segr(segr, [](reservation::SegrRecord* r) {
+    ASSERT_NE(r, nullptr);
+    ASSERT_TRUE(r->pending.has_value());
+    r->pending->version = 7;
+  });
+  auto stale = bed.cserv(leaf).activate_segr(segr, renewed.value().version);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.error(), Errc::kBadVersion);
+
+  // A down-SegR set up by its core AS on the last AS's request (§3.3).
+  const AsId src{1, 112}, dst{2, 212};
+  const topology::PathSegment down =
+      *bed.pathdb().down_segments_to(dst).front();
+  auto down_segr = bed.cserv(dst).request_down_segr(down, 100, 1000);
+  ASSERT_TRUE(down_segr.ok()) << errc_name(down_segr.error());
+
+  const auto chains = bed.cserv(src).lookup_chains(dst);
+  ASSERT_FALSE(chains.empty());
+  std::vector<ResKey> segrs;
+  for (const auto& advert : chains.front()) segrs.push_back(advert.key);
+
+  // The destination host vetoes the EER.
+  bed.cserv(dst).set_host_acceptor(
+      [](const proto::EerInfo&, BwKbps) { return false; });
+  auto vetoed = bed.cserv(src).setup_eer(segrs, HostAddr::from_u64(1),
+                                         HostAddr::from_u64(2), 100, 1000);
+  ASSERT_FALSE(vetoed.ok());
+  EXPECT_EQ(vetoed.error(), Errc::kPolicyDenied);
+  bed.cserv(dst).set_host_acceptor(nullptr);
+
+  // Admission refuses at hop 1: its first SegR has no bandwidth left.
+  const AsId mid = chains.front().front().hops[1].as;
+  BwKbps saved = 0;
+  auto fill = [&](BwKbps v) {
+    bed.cserv(mid).db().with_segr(segrs[0], [&](reservation::SegrRecord* r) {
+      ASSERT_NE(r, nullptr);
+      saved = r->eer_allocated_kbps;
+      r->eer_allocated_kbps = v;
+    });
+  };
+  fill(2'000'000);
+  const BwKbps before = saved;
+  auto refused = bed.cserv(src).setup_eer(segrs, HostAddr::from_u64(3),
+                                          HostAddr::from_u64(4), 100, 1000);
+  ASSERT_FALSE(refused.ok());
+  fill(before);
+
+  // A SegReq whose MACs are garbage, delivered straight to hop 1.
+  proto::SegRequest forged;
+  forged.seg_type = up.type;
+  forged.min_bw_kbps = 1;
+  forged.max_bw_kbps = 1000;
+  for (const auto& h : up.hops) forged.ases.push_back(h.as);
+  proto::Packet pkt;
+  pkt.type = proto::PacketType::kSegSetup;
+  pkt.path = up.hops;
+  pkt.resinfo.src_as = leaf;
+  pkt.resinfo.res_id = 777;
+  pkt.resinfo.bw_kbps = 1000;
+  pkt.resinfo.exp_time = clock.now_sec() + 300;
+  pkt.current_hop = 1;
+  proto::AuthedPayload ap;
+  ap.message = forged;
+  ap.macs.assign(forged.ases.size(), proto::Mac16{0xDE, 0xAD});
+  pkt.payload = proto::encode_authed(ap);
+  Bytes framed{0};
+  append_bytes(framed, proto::encode_packet(pkt));
+  EXPECT_FALSE(bed.bus().call(up.hops[1].as, framed).empty());
+
+  // The bus drops every delivery to the destination: the hop before it
+  // answers kInternal.
+  FaultInjector faults(clock, 1);
+  faults.add_message_plan({0, std::numeric_limits<TimeNs>::max(), dst.raw(),
+                           1.0, 0.0, 0.0});
+  bed.bus().attach_fault_injector(&faults);
+  auto dropped = bed.cserv(src).setup_eer(segrs, HostAddr::from_u64(5),
+                                          HostAddr::from_u64(6), 100, 1000);
+  bed.bus().attach_fault_injector(nullptr);
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.error(), Errc::kInternal);
+
+  EXPECT_EQ(digest.hex(),
+            "a047e9e03e570d8aee692989c62287e2dace602795e4717aaa03c3646d316247")
+      << digest.frames() << " bus deliveries";
 }
 
 }  // namespace

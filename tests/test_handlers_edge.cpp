@@ -3,8 +3,10 @@
 // on failed requests.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "colibri/app/testbed.hpp"
-#include "colibri/crypto/eax.hpp"
+#include "colibri/common/faults.hpp"
 
 namespace colibri::cserv {
 namespace {
@@ -77,6 +79,29 @@ TEST_F(HandlerEdgeTest, PathMessageLengthMismatchRejected) {
   EXPECT_EQ(resp.fail_code, Errc::kMalformed);
 }
 
+TEST_F(HandlerEdgeTest, EerPathMessageLengthMismatchRejected) {
+  // EerRequest whose AS list (and its own path) disagrees with the header
+  // path: refused as malformed before any MAC check.
+  proto::EerRequest msg;
+  msg.ases = {AsId{1, 110}};  // one AS...
+  msg.path = {topology::Hop{AsId{1, 110}, 0, 1}};
+  proto::Packet pkt;
+  pkt.type = proto::PacketType::kEerSetup;
+  pkt.is_eer = true;
+  pkt.path = {topology::Hop{AsId{1, 110}, 0, 1},
+              topology::Hop{AsId{1, 100}, 1, 0}};  // ...but two hops
+  pkt.resinfo.src_as = AsId{1, 110};
+  pkt.resinfo.exp_time = clock_.now_sec() + 300;
+  pkt.current_hop = 0;
+  proto::AuthedPayload ap;
+  ap.message = msg;
+  ap.macs.assign(1, proto::Mac16{});
+  pkt.payload = proto::encode_authed(ap);
+  const auto resp = response_of(bed_.bus().call(AsId{1, 110}, framed(pkt)));
+  EXPECT_FALSE(resp.success);
+  EXPECT_EQ(resp.fail_code, Errc::kMalformed);
+}
+
 TEST_F(HandlerEdgeTest, RenewUnknownSegrFails) {
   auto r = bed_.cserv(AsId{1, 110})
                .renew_segr(ResKey{AsId{1, 110}, 0xDEAD}, 1, 100);
@@ -102,6 +127,31 @@ TEST_F(HandlerEdgeTest, ActivateWithoutPendingFails) {
   auto act = bed_.cserv(src).activate_segr(setup.value().key, 1);
   EXPECT_FALSE(act.ok());
   EXPECT_EQ(act.error(), Errc::kBadVersion);
+}
+
+TEST_F(HandlerEdgeTest, LostSegrRenewalReplyKeepsActiveAllocation) {
+  // The bus drops the renewal at the last AS. The first AS answers
+  // kInternal and falls back to the active version's allocation, as it
+  // does for a refused renewal: the active SegR stays accounted.
+  const AsId src{1, 110};
+  const topology::PathSegment seg =
+      *bed_.pathdb().up_segments_from(src).front();
+  auto setup = bed_.cserv(src).setup_segr(seg, 1, 1000);
+  ASSERT_TRUE(setup.ok());
+  const admission::SegrAdmission& ledger = bed_.cserv(src).segr_admission();
+  const size_t tracked = ledger.tracked();
+  const BwKbps granted = ledger.ledger().granted_total(seg.hops[0].egress);
+
+  FaultInjector faults(clock_, 1);
+  faults.add_message_plan({0, std::numeric_limits<TimeNs>::max(),
+                           seg.last_as().raw(), 1.0, 0.0, 0.0});
+  bed_.bus().attach_fault_injector(&faults);
+  auto r = bed_.cserv(src).renew_segr(setup.value().key, 1, 2000);
+  bed_.bus().attach_fault_injector(nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Errc::kInternal);
+  EXPECT_EQ(ledger.tracked(), tracked);
+  EXPECT_EQ(ledger.ledger().granted_total(seg.hops[0].egress), granted);
 }
 
 TEST_F(HandlerEdgeTest, RenewUnknownEerFails) {
@@ -185,32 +235,41 @@ TEST_F(HandlerEdgeTest, FailedEerLeavesNoAllocation) {
 }
 
 TEST_F(HandlerEdgeTest, TamperedSealedHopauthRejectedByInitiator) {
-  // A malicious transit AS flips bits in a sealed σ on the response path;
-  // the initiator's AEAD open fails and the setup errors out instead of
-  // installing a bogus key.
+  // A malicious transit AS flips a byte of a sealed σ on the response
+  // path; the initiator's AEAD open fails and the setup errors out instead
+  // of installing a bogus key.
   const AsId src{1, 110}, dst{1, 120};
   const auto chains = bed_.cserv(src).lookup_chains(dst);
   ASSERT_FALSE(chains.empty());
   std::vector<ResKey> keys;
   for (const auto& a : chains.front()) keys.push_back(a.key);
 
-  // Interpose on the bus: corrupt sealed_hopauths in EER responses coming
-  // back through the wire. The daemon path can't be intercepted easily,
-  // so instead verify the AEAD layer directly: a sealed blob from a
-  // successful setup fails to open under a tampered byte.
-  auto ok = bed_.cserv(src).setup_eer(keys, HostAddr::from_u64(1),
-                                      HostAddr::from_u64(2), 1, 10);
-  ASSERT_TRUE(ok.ok());
+  // Interpose on the bus at hop 1: its reply frame to the initiator
+  // carries hop 1's sealed σ, which the wrapper corrupts.
+  const AsId hop1 = chains.front().front().hops[1].as;
+  CServ* transit = &bed_.cserv(hop1);
+  bed_.bus().attach(hop1, [transit](BytesView wire) {
+    Bytes out = transit->handle(wire);
+    auto pkt = proto::decode_packet(out);
+    if (!pkt || pkt->type != proto::PacketType::kResponse) return out;
+    auto ap = proto::decode_authed(pkt->payload);
+    auto* resp =
+        ap ? std::get_if<proto::ControlResponse>(&ap->message) : nullptr;
+    if (resp == nullptr || resp->sealed_hopauths.size() < 2 ||
+        resp->sealed_hopauths[1].size() <= 20) {
+      return out;
+    }
+    resp->sealed_hopauths[1][20] ^= 0x01;
+    pkt->payload = proto::encode_authed(*ap);
+    return proto::encode_packet(*pkt);
+  });
 
-  const UnixSec now = clock_.now_sec();
-  const drkey::Key128 key = bed_.cserv(keys[0].src_as)
-                                .drkey_engine()
-                                .as_key(src, now);
-  crypto::Eax eax(key.bytes.data());
-  Bytes nonce(16, 7);
-  Bytes sealed = eax.seal(nonce, Bytes{1}, Bytes(16, 0xAB));
-  sealed[20] ^= 0x01;
-  EXPECT_FALSE(eax.open(Bytes{1}, sealed).has_value());
+  const size_t installed = bed_.gateway(src).reservation_count();
+  auto r = bed_.cserv(src).setup_eer(keys, HostAddr::from_u64(1),
+                                     HostAddr::from_u64(2), 1, 10);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Errc::kAuthFailed);
+  EXPECT_EQ(bed_.gateway(src).reservation_count(), installed);
 }
 
 TEST_F(HandlerEdgeTest, ResponsePacketAsRequestRejected) {

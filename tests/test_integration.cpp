@@ -380,8 +380,9 @@ TEST_F(IntegrationTest, PolicingLoopBlocksOveruser) {
 // Control-plane messages cross the bus serialized; the accounting shows
 // real message flow (management-scalability sanity).
 TEST_F(IntegrationTest, BusCarriesSerializedControlPlane) {
-  EXPECT_GT(bed_.bus().message_count(), 0u);
-  EXPECT_GT(bed_.bus().byte_count(), 0u);
+  const cserv::BusStats bus = bed_.bus().snapshot();
+  EXPECT_GT(bus.messages, 0u);
+  EXPECT_GT(bus.bytes, 0u);
 }
 
 // §3.4 traffic split: admission never grants more than the Colibri share

@@ -316,6 +316,17 @@ TEST(MessageCodecTest, RejectsUnknownTag) {
   EXPECT_FALSE(decode_message(wire).has_value());
 }
 
+// Every hop re-encodes the payload it decodes, so the codec accepts only
+// the canonical encoding: no trailing bytes, no flag byte other than 0/1.
+TEST(MessageCodecTest, RejectsNonCanonicalSuccessFlag) {
+  ControlResponse m;
+  m.success = true;
+  Bytes wire = encode_message(m);
+  ASSERT_EQ(wire[1], 1);  // the flag follows the tag
+  wire[1] = 2;
+  EXPECT_FALSE(decode_message(wire).has_value());
+}
+
 TEST(AuthInputTest, IndependentOfGrantedVector) {
   SegRequest a;
   a.min_bw_kbps = 1;
@@ -356,6 +367,28 @@ TEST(AuthedPayloadTest, RejectsTruncated) {
   ap.macs = {Mac16{}};
   Bytes wire = encode_authed(ap);
   wire.resize(wire.size() - 1);
+  EXPECT_FALSE(decode_authed(wire).has_value());
+}
+
+TEST(AuthedPayloadTest, RejectsTrailingByteInsideMessage) {
+  const Mac16 mac{9};
+  Bytes msg = encode_message(SegActivation{1});
+  msg.push_back(0);
+  Bytes wire;
+  put_le(wire, static_cast<std::uint32_t>(msg.size()));
+  append_bytes(wire, msg);
+  put_le(wire, static_cast<std::uint16_t>(1));
+  append_bytes(wire, BytesView(mac.data(), mac.size()));
+  EXPECT_FALSE(decode_authed(wire).has_value());
+}
+
+TEST(AuthedPayloadTest, RejectsTrailingByteAfterMacs) {
+  AuthedPayload ap;
+  ap.message = SegActivation{1};
+  ap.macs = {Mac16{9}};
+  Bytes wire = encode_authed(ap);
+  ASSERT_TRUE(decode_authed(wire).has_value());
+  wire.push_back(0);
   EXPECT_FALSE(decode_authed(wire).has_value());
 }
 

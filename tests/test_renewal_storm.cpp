@@ -1,5 +1,5 @@
-// Tests: renewal-storm scenario — correlated expiry, legacy vs batched
-// drain equivalence, per-shard batch shape.
+// Tests: renewal-storm scenario — correlated expiry, per-shard batch
+// shape, and a drain end state independent of shard and thread count.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -67,31 +67,35 @@ TEST(RenewalStormTest, BatchedDrainRenewsEverythingBeforeExpiry) {
   EXPECT_EQ(storm.db().eer_count(), 2'000u);
 }
 
-TEST(RenewalStormTest, BatchedDrainMatchesLegacyEndState) {
-  RenewalStorm legacy(small_config());
-  RenewalStorm batched(small_config());
-  legacy.populate();
-  batched.populate();
+TEST(RenewalStormTest, OneShardAndEightShardDrainsMatch) {
+  // The two drains visit the EERs in different orders; the end state must
+  // not depend on it.
+  RenewalStormConfig cfg = small_config();
+  cfg.shards = 1;
+  RenewalStorm one(cfg);
+  RenewalStorm eight(small_config());
+  one.populate();
+  eight.populate();
 
-  const UnixSec now = legacy.storm_expiry();
-  const auto lst = legacy.drain_legacy(now);
-  const auto bst = batched.drain_batched(now);
+  const UnixSec now = one.storm_expiry();
+  const auto ost = one.drain_batched(now);
+  const auto est = eight.drain_batched(now);
 
-  EXPECT_EQ(lst.renewed, bst.renewed);
-  EXPECT_EQ(lst.failed, bst.failed);
-  EXPECT_EQ(lst.renewed, 2'000u);
-  // The legacy drain is one undifferentiated pass.
-  EXPECT_EQ(lst.batches, 1u);
-  EXPECT_EQ(lst.max_batch, 2'000u);
+  EXPECT_EQ(ost.renewed, 2'000u);
+  EXPECT_EQ(ost.renewed, est.renewed);
+  EXPECT_EQ(ost.failed, est.failed);
+  EXPECT_EQ(ost.batches, 1u);
+  EXPECT_EQ(est.batches, 8u);
 
   // Identical reservation state: same records, same versions, same
   // per-SegR allocation counters.
-  EXPECT_EQ(legacy.db().eer_count(), batched.db().eer_count());
-  EXPECT_EQ(allocations(legacy), allocations(batched));
-  for (const auto& rec : legacy.db().eer_snapshot()) {
-    const auto other = batched.db().eer_copy(rec.key);
+  EXPECT_EQ(one.db().eer_count(), eight.db().eer_count());
+  EXPECT_EQ(allocations(one), allocations(eight));
+  for (const auto& rec : one.db().eer_snapshot()) {
+    const auto other = eight.db().eer_copy(rec.key);
     ASSERT_TRUE(other.has_value());
     ASSERT_EQ(other->versions.size(), rec.versions.size());
+    EXPECT_EQ(other->versions.back().version, rec.versions.back().version);
     EXPECT_EQ(other->versions.back().exp_time, rec.versions.back().exp_time);
     EXPECT_EQ(other->versions.back().bw_kbps, rec.versions.back().bw_kbps);
   }
