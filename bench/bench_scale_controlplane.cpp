@@ -100,27 +100,20 @@ BENCHMARK(BM_EerAcrossGeneratedTopology)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(2000);
 
-// --- renewal-storm drain: per-shard batches ------------------------------
+// --- renewal-storm drain --------------------------------------------------
 //
 // §3.2 + §9: SegRs set up together expire together, so hundreds of
 // thousands of EER renewals come due in one 16 s window. The drain takes
-// per-shard, ResId-ordered batches straight into the admission ledger;
-// the rows sweep the shard count on one thread. The per-item renewal
-// through the bus is BM_EerRenewal in bench_cserv_throughput.
-
-app::RenewalStormConfig storm_config(size_t shards, size_t eers) {
-  app::RenewalStormConfig cfg;
-  cfg.shards = shards;
-  cfg.num_eers = eers;
-  cfg.num_segrs = 64;
-  return cfg;
-}
+// the due EERs in one ResId-ordered pass straight into the admission
+// ledger. The per-item renewal through the bus is BM_EerRenewal in
+// bench_cserv_throughput. Five repetitions per row; the JSON p50 is their
+// median, p99 their spread.
 
 void BM_RenewalStormBatched(benchmark::State& state) {
-  const auto cfg = storm_config(static_cast<size_t>(state.range(0)),
-                                static_cast<size_t>(state.range(1)));
+  app::RenewalStormConfig cfg;
+  cfg.num_eers = static_cast<size_t>(state.range(0));
+  cfg.num_segrs = 64;
   std::uint64_t renewed = 0;
-  std::uint64_t batches = 0;
   for (auto _ : state) {
     state.PauseTiming();
     app::RenewalStorm storm(cfg);
@@ -128,28 +121,26 @@ void BM_RenewalStormBatched(benchmark::State& state) {
     state.ResumeTiming();
     const auto st = storm.drain_batched(storm.storm_expiry());
     renewed += st.renewed;
-    batches += st.batches;
     if (st.failed != 0) state.SkipWithError("batched drain failed renewals");
   }
-  state.counters["shards"] = static_cast<double>(cfg.shards);
-  state.counters["batches"] = static_cast<double>(batches) /
-                              std::max<double>(1.0, state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(renewed));
-  state.SetLabel("per-shard ResId-ordered batches into the admission ledger");
+  state.SetLabel("one ResId-ordered pass into the admission ledger");
 }
 
 BENCHMARK(BM_RenewalStormBatched)
-    ->ArgsProduct({{1, 2, 4, 8}, {50'000, 200'000}})
+    ->Arg(50'000)
+    ->Arg(200'000)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(5);
 
 // --- expiry tick: cost follows what is due, not what is live ------------
 //
-// One ReservationDb::sweep_eers over an 8-shard db (the CServ default)
-// holding N live EERs, 0% or 1% of them due. With the expiry index the
-// 0%-due sweep costs the same at every N, and the 1%-due sweep grows with
-// the number due (it used to scan all N records every tick). Five
-// repetitions per row; the JSON p50 is their median, p99 their spread.
+// One ReservationDb::sweep_eers over a db holding N live EERs, 0% or 1%
+// of them due. With the expiry index the 0%-due sweep costs the same at
+// every N, and the 1%-due sweep grows with the number due (it used to
+// scan all N records every tick). Five repetitions per row; the JSON p50
+// is their median, p99 their spread.
 
 reservation::EerRecord sweep_eer(ResId id, UnixSec exp) {
   reservation::EerRecord rec;
@@ -162,7 +153,7 @@ void BM_ExpirySweep(benchmark::State& state) {
   constexpr UnixSec kNow = 1'000;
   const auto live = static_cast<ResId>(state.range(0));
   const auto due = static_cast<ResId>(live * state.range(1) / 100);
-  reservation::ReservationDb db(AsId{1, 10}, 8);
+  reservation::ReservationDb db(AsId{1, 10});
   for (ResId id = 1; id <= live - due; ++id) {
     db.upsert_eer(sweep_eer(id, kNow + reservation::kEerLifetimeSec));
   }

@@ -21,8 +21,15 @@
 #
 # The tsan preset is a race lane, not a functional lane: it runs the
 # concurrency-shaped suites (the telemetry stress test, the sharded
-# runtime drain/health tests, the SPSC ring, concurrent counters) under
-# ThreadSanitizer instead of repeating the whole functional suite.
+# runtime drain/health tests, the SPSC ring, concurrent counters, the
+# locked reservation db and striped EER admission) under ThreadSanitizer
+# instead of repeating the whole functional suite.
+#
+# These three gates pick their tests by name, and a `ctest -R`
+# alternative that matches no test passes silently. So the default
+# preset first checks that every alternative of the three lists names at
+# least one test: a renamed or deleted test fails the run instead of
+# quietly dropping out of its gate.
 #
 # Every functional preset (and the tsan race lane) then re-runs the
 # chaos lane by label: the fault-injection, link-failover, and WAL
@@ -63,11 +70,36 @@ python3 scripts/check_bench.py --self-test
 TSAN_SUITES='TelemetryStressTest|ShardedRuntimeTest|SpscRingTest'
 TSAN_SUITES+='|CounterTest.ConcurrentIncrementsFromManyThreads'
 TSAN_SUITES+='|ControlPlaneStressTest'
-TSAN_SUITES+='|RenewalStormTest.MultiThreadedDrainMatchesSingleThreaded'
 TSAN_SUITES+='|ReservationDbTest.NextResIdIsUniqueAcrossThreads'
 TSAN_SUITES+='|SamplerAlertStressTest'
 TSAN_SUITES+='|FleetAuditStressTest'
 TSAN_SUITES+='|HistoryIncidentStressTest'
+
+DP_PARITY_SUITES='fuzz_corpus_replay|RouterDifferential|GatewayDifferential'
+DP_PARITY_SUITES+='|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest'
+DP_PARITY_SUITES+='|BatchIngestTest|FrameLengthBindingTest'
+
+CP_WIRE_SUITES='WireIdentityTest|HandlerEdgeTest|MessageCodecTest'
+CP_WIRE_SUITES+='|AuthedPayloadTest|fuzz_corpus_replay'
+
+# Fails when an alternative of a `|`-separated ctest regex matches no
+# test of the preset's tree.
+check_gate_names() {
+  local preset=$1 list alt count missing=0
+  shift
+  for list in "$@"; do
+    IFS='|' read -ra alts <<< "$list"
+    for alt in "${alts[@]}"; do
+      count=$(ctest --preset "$preset" -N -R "$alt" \
+        | sed -n 's/^Total Tests: //p')
+      if [ "${count:-0}" -eq 0 ]; then
+        echo "gate regex alternative '$alt' matches no test" >&2
+        missing=1
+      fi
+    done
+  done
+  return "$missing"
+}
 
 for preset in "${PRESETS[@]}"; do
   if [ "$preset" = bench-gate ]; then
@@ -98,14 +130,17 @@ for preset in "${PRESETS[@]}"; do
     ctest --preset "$preset" -L chaos
     continue
   fi
+  if [ "$preset" = default ]; then
+    echo "=== [$preset] name-picked gates: every regex alternative matches a test"
+    check_gate_names "$preset" "$TSAN_SUITES" "$DP_PARITY_SUITES" \
+      "$CP_WIRE_SUITES"
+  fi
   echo "=== [$preset] test"
   ctest --preset "$preset"
   echo "=== [$preset] data-plane parity gate (fuzz corpus + differential)"
-  ctest --preset "$preset" \
-    -R 'fuzz_corpus_replay|RouterDifferential|GatewayDifferential|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest|BatchIngestTest|FrameLengthBindingTest'
+  ctest --preset "$preset" -R "$DP_PARITY_SUITES"
   echo "=== [$preset] control-plane wire gate (bus-frame digests + payload codec)"
-  ctest --preset "$preset" \
-    -R 'WireIdentityTest|HandlerEdgeTest|MessageCodecTest|AuthedPayloadTest|fuzz_corpus_replay'
+  ctest --preset "$preset" -R "$CP_WIRE_SUITES"
   echo "=== [$preset] chaos lane (fault injection, failover, WAL recovery)"
   ctest --preset "$preset" -L chaos
 done

@@ -7,8 +7,8 @@
 // implementation today; its verdicts, error codes, and telemetry labels
 // are untouched by the seam.
 //
-// Implementations must be safe for concurrent calls: the sharded control
-// plane admits EERs and releases expired state from multiple threads.
+// Implementations must be safe for concurrent calls, like the locked
+// ReservationDb they resolve records against.
 #pragma once
 
 #include <memory>
@@ -34,7 +34,7 @@ class AdmissionBackend {
   virtual void release_segr(const ResKey& key) = 0;
 
   // End-to-end-reservation admission; records are resolved against `db`
-  // under its shard locks.
+  // under its lock.
   virtual Result<BwKbps> admit_eer(reservation::ReservationDb& db,
                                    const EerAdmission::Request& req,
                                    UnixSec now) = 0;

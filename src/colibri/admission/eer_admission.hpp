@@ -9,14 +9,14 @@
 //
 // Concurrency: requests name their adjacent SegRs by *key*, never by
 // pointer — the admission resolves and mutates the records under the
-// ReservationDb's shard locks, so a SegR swept mid-flight is simply seen
-// as absent instead of becoming a dangling pointer. Allocation
-// bookkeeping is striped by a splitmix64 hash of the EER's ResId (the
-// same routing as the db shards); the transfer ledger couples up- and
-// core-SegRs across stripes and stays behind a single mutex. Lock order:
-// stripe mutex -> db shard locks (ascending) -> transfer mutex.
+// ReservationDb's lock, so a SegR swept mid-flight is simply seen as
+// absent instead of becoming a dangling pointer. Allocation bookkeeping
+// is striped by a splitmix64 hash of the EER's ResId; the transfer
+// ledger couples up- and core-SegRs across stripes and stays behind a
+// single mutex. Lock order: stripe mutex -> db lock -> transfer mutex.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -73,7 +73,7 @@ class TransferLedger {
 // per-SegR allocation counters. The caller (CServ) passes the keys of the
 // SegR records the request rides at this AS (one for transit, two for a
 // transfer AS); the records themselves are resolved against the passed
-// ReservationDb under its shard locks.
+// ReservationDb under its lock.
 class EerAdmission {
  public:
   // `stripes` partitions the allocation bookkeeping for concurrent
@@ -142,9 +142,16 @@ class EerAdmission {
     std::unordered_map<ResKey, Allocation> allocations;
   };
 
+  // Stripe routing: the splitmix64 finalizer over the ResId, so
+  // sequential ids spread evenly and placement depends only on (id,
+  // stripe count).
   Stripe& stripe(const ResKey& eer_key) {
-    return stripes_[reservation::ReservationDb::shard_of(eer_key.res_id,
-                                                         stripes_.size())];
+    std::uint64_t h = eer_key.res_id;
+    h *= 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 32;
+    return stripes_[static_cast<size_t>(h % stripes_.size())];
   }
 
   // Unwinds `a` against the db + transfer ledger (no stripe-map change);

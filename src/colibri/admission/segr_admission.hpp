@@ -9,7 +9,7 @@
 // tube shares couple every reservation on an egress), so it runs as a
 // single coordinator behind one mutex — the App. D decomposition keeps
 // exactly one sub-service for SegReqs for the same reason. The O(1)
-// decision keeps the critical section tiny; the sharded concurrency
+// decision keeps the critical section tiny; the striped concurrency
 // lives in the EER path, which dominates request volume.
 #pragma once
 

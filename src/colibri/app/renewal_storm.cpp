@@ -1,19 +1,17 @@
 #include "colibri/app/renewal_storm.hpp"
 
 #include <algorithm>
-#include <thread>
+#include <vector>
 
 namespace colibri::app {
 
 RenewalStorm::RenewalStorm(RenewalStormConfig cfg)
-    : cfg_(cfg),
-      owner_(AsId::from_raw(1)),
-      db_(owner_, cfg_.shards),
-      admission_(cfg_.shards) {}
+    : cfg_(cfg), owner_(AsId::from_raw(1)), db_(owner_) {}
 
 void RenewalStorm::populate() {
   const topology::Hop hop{owner_, kNoInterface, kNoInterface};
-  segr_keys_.reserve(cfg_.num_segrs);
+  std::vector<ResKey> segr_keys;
+  segr_keys.reserve(cfg_.num_segrs);
   for (size_t i = 0; i < cfg_.num_segrs; ++i) {
     reservation::SegrRecord rec;
     rec.key = ResKey{owner_, db_.next_res_id()};
@@ -23,14 +21,13 @@ void RenewalStorm::populate() {
     rec.active.version = 0;
     rec.active.bw_kbps = cfg_.segr_bw_kbps;
     rec.active.exp_time = cfg_.setup_time + reservation::kSegrLifetimeSec;
-    segr_keys_.push_back(rec.key);
+    segr_keys.push_back(rec.key);
     db_.upsert_segr(std::move(rec));
   }
 
-  eer_keys_.reserve(cfg_.num_eers);
   for (size_t i = 0; i < cfg_.num_eers; ++i) {
     const ResKey eer_key{owner_, db_.next_res_id()};
-    const ResKey segr_key = segr_keys_[i % segr_keys_.size()];
+    const ResKey segr_key = segr_keys[i % segr_keys.size()];
     admission::EerAdmission::Request req;
     req.eer_key = eer_key;
     req.demand_kbps = cfg_.eer_bw_kbps;
@@ -51,7 +48,6 @@ void RenewalStorm::populate() {
     ver.bw_kbps = granted.value();
     ver.exp_time = storm_expiry();  // the whole fleet comes due together
     rec.versions.push_back(ver);
-    eer_keys_.push_back(eer_key);
     db_.upsert_eer(std::move(rec));
   }
 }
@@ -88,42 +84,19 @@ bool RenewalStorm::renew_direct(const ResKey& eer_key, UnixSec now) {
   return true;
 }
 
-RenewalStormStats RenewalStorm::drain_shard_range(UnixSec now,
-                                                  size_t thread_idx) {
-  RenewalStormStats st;
-  const size_t stride = std::max<size_t>(1, cfg_.threads);
-  for (size_t s = thread_idx; s < db_.num_shards(); s += stride) {
-    const std::vector<ResKey> keys = db_.eer_keys_of_shard(s);
-    if (keys.empty()) continue;
-    ++st.batches;
-    st.max_batch = std::max<std::uint64_t>(st.max_batch, keys.size());
-    for (const ResKey& key : keys) {
-      if (renew_direct(key, now)) {
-        ++st.renewed;
-      } else {
-        ++st.failed;
-      }
-    }
-  }
-  return st;
-}
-
 RenewalStormStats RenewalStorm::drain_batched(UnixSec now) {
-  if (cfg_.threads <= 1) return drain_shard_range(now, 0);
-  std::vector<RenewalStormStats> per_thread(cfg_.threads);
-  std::vector<std::thread> workers;
-  workers.reserve(cfg_.threads);
-  for (size_t t = 0; t < cfg_.threads; ++t) {
-    workers.emplace_back(
-        [this, now, t, &per_thread] { per_thread[t] = drain_shard_range(now, t); });
-  }
-  for (auto& w : workers) w.join();
+  std::vector<ResKey> keys;
+  keys.reserve(db_.eer_count());
+  db_.for_each_eer(
+      [&](const reservation::EerRecord& rec) { keys.push_back(rec.key); });
+  std::sort(keys.begin(), keys.end());  // one source AS: ResId order
   RenewalStormStats st;
-  for (const RenewalStormStats& p : per_thread) {
-    st.renewed += p.renewed;
-    st.failed += p.failed;
-    st.batches += p.batches;
-    st.max_batch = std::max(st.max_batch, p.max_batch);
+  for (const ResKey& key : keys) {
+    if (renew_direct(key, now)) {
+      ++st.renewed;
+    } else {
+      ++st.failed;
+    }
   }
   return st;
 }

@@ -3,18 +3,17 @@
 // SegRs set up together expire together: an AS that established its
 // segment infrastructure in one batch sees hundreds of thousands of EER
 // renewals come due in the same 16-second window. This harness builds
-// that workload against the sharded ReservationDb and drains it in
-// per-shard, ResId-ordered batches straight into the admission ledger —
-// the RenewalManager drain shape, amortizing all per-item envelope work
-// across the batch. The per-item renewal through the bus is what
-// BM_EerRenewal (bench_cserv_throughput) measures.
+// that workload against a ReservationDb and drains it in one ResId-ordered
+// pass straight into the admission ledger — the RenewalManager drain
+// shape, amortizing all per-item envelope work across the storm. The
+// per-item renewal through the bus is what BM_EerRenewal
+// (bench_cserv_throughput) measures.
 //
-// bench_scale_controlplane sweeps the drain over shard count x
-// reservation count; the stress tests drive it from multiple threads.
+// bench_scale_controlplane sweeps the drain over the reservation count;
+// the stress tests race it against a concurrent sweeper.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "colibri/admission/eer_admission.hpp"
 #include "colibri/reservation/db.hpp"
@@ -24,9 +23,6 @@ namespace colibri::app {
 struct RenewalStormConfig {
   size_t num_eers = 100'000;
   size_t num_segrs = 64;
-  size_t shards = 8;
-  // drain_batched parallelism: threads > 1 split the shards round-robin.
-  size_t threads = 1;
   BwKbps segr_bw_kbps = 40'000'000;
   BwKbps eer_bw_kbps = 100;
   // Every EER version minted by populate() expires at exactly this
@@ -38,8 +34,6 @@ struct RenewalStormConfig {
 struct RenewalStormStats {
   std::uint64_t renewed = 0;
   std::uint64_t failed = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t max_batch = 0;
 };
 
 class RenewalStorm {
@@ -57,21 +51,17 @@ class RenewalStorm {
   // Builds the SegRs and admits every EER, all with the same expiry.
   void populate();
 
-  // Renews every live EER once, shard by shard. The end state does not
-  // depend on the shard count or the thread count.
+  // Renews every live EER once, in ResId order.
   RenewalStormStats drain_batched(UnixSec now);
 
  private:
   // Renews one EER directly against the admission ledger.
   bool renew_direct(const ResKey& eer_key, UnixSec now);
-  RenewalStormStats drain_shard_range(UnixSec now, size_t thread_idx);
 
   RenewalStormConfig cfg_;
   AsId owner_;
   reservation::ReservationDb db_;
   admission::EerAdmission admission_;
-  std::vector<ResKey> segr_keys_;
-  std::vector<ResKey> eer_keys_;
 };
 
 }  // namespace colibri::app

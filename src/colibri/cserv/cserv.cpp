@@ -43,16 +43,15 @@ CServ::CServ(const topology::Topology& topo, AsId local, MessageBus& bus,
       hop_cipher_(hop_key.bytes.data()),
       clock_(&clock),
       cfg_(cfg),
-      db_(local, cfg.control_plane_shards),
+      db_(local),
       rate_limiter_(cfg.rate_limits),
       rng_(local.raw() ^ 0xC011B121C0DEULL),
       registration_(cfg.metrics, this) {
   if (cfg_.admission_factory) {
-    admission_ = cfg_.admission_factory(local, cfg_.control_plane_shards);
+    admission_ = cfg_.admission_factory(local, 1);
     bounded_ = dynamic_cast<admission::BoundedTubeBackend*>(admission_.get());
   } else {
-    auto backend = std::make_unique<admission::BoundedTubeBackend>(
-        cfg_.control_plane_shards);
+    auto backend = std::make_unique<admission::BoundedTubeBackend>();
     bounded_ = backend.get();
     admission_ = std::move(backend);
   }
@@ -557,8 +556,8 @@ void CServ::tick() {
   size_t examined = 0;
   // EERs first (their admission state gives back bandwidth on the SegR
   // records they ride). Sweeps are two-phase: callbacks run on the
-  // removed records outside the shard locks, so release_eer may re-lock
-  // the db freely.
+  // removed records outside the db lock, so release_eer may re-lock the
+  // db freely.
   size_t expired = db_.sweep_eers(
       now,
       [this](const reservation::EerRecord& rec) {
@@ -688,7 +687,6 @@ void CServ::collect_metrics(telemetry::MetricSink& sink) const {
   sink.counter("cserv.tick.examined", metrics_.tick_examined.value());
   const auto tick = metrics_.tick_ns.snapshot();
   if (tick.count != 0) sink.histogram("cserv.tick_ns", tick);
-  sink.gauge("cserv.db.shards", static_cast<std::int64_t>(db_.num_shards()));
   sink.gauge("cserv.db.segr_count",
              static_cast<std::int64_t>(db_.segr_count()));
   sink.gauge("cserv.db.eer_count", static_cast<std::int64_t>(db_.eer_count()));

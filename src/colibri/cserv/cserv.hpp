@@ -48,11 +48,9 @@ struct CservConfig {
   BwKbps per_host_eer_cap_kbps = 10'000'000;
   std::uint32_t segr_lifetime_sec = reservation::kSegrLifetimeSec;
   std::uint32_t eer_lifetime_sec = reservation::kEerLifetimeSec;
-  // Shard count for the reservation db (and EER-admission stripes):
-  // concurrent setup/renewal/expiry paths lock per shard, never globally.
-  size_t control_plane_shards = 8;
   // Admission strategy override (nullptr = the paper's bounded-tube
-  // fairness). Called once at construction with (local AS, shard count).
+  // fairness). Called once at construction with (local AS, 1): the
+  // second argument is the EER-admission stripe count.
   std::function<std::unique_ptr<admission::AdmissionBackend>(AsId, size_t)>
       admission_factory;
   RateLimitConfig rate_limits;
@@ -296,9 +294,10 @@ class CServ : public telemetry::MetricsSource {
 // Default monitoring rule pack for the control plane (see
 // telemetry/alerts.hpp): fires when the windowed admission p99
 // (cserv.request_latency_ns over the last 10 s) exceeds
-// `admission_p99_ns`, and when a renewal batch grows beyond
-// `renewal_backlog` items (cserv.renewal.last_batch_max) — the two
-// leading indicators of a renewal storm outpacing the admission path.
+// `admission_p99_ns`, and when one renewal tick finds more than
+// `renewal_backlog` SegRs due (cserv.renewal.last_batch_max, the
+// latest RenewalManager::tick's whole due count) — the two leading
+// indicators of a renewal storm outpacing the admission path.
 std::vector<telemetry::AlertRule> default_cserv_alert_rules(
     std::uint64_t admission_p99_ns = 50'000'000,
     std::uint64_t renewal_backlog = 4'096);

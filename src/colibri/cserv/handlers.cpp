@@ -457,8 +457,8 @@ std::optional<CServ::Reply> Handlers::handle_activation(
   }
 
   // Switch: only one version of a SegR is ever live (§4.2). Re-validate
-  // under the shard lock — the record may have been swept or renewed
-  // again while the activation crossed the bus.
+  // under the db lock — the record may have been swept or renewed again
+  // while the activation crossed the bus.
   reservation::SegrVersion activated;
   const bool switched = self.db_.with_segr(
       pkt.resinfo.key(), [&](reservation::SegrRecord* stored) {
@@ -495,7 +495,7 @@ std::optional<CServ::Reply> Handlers::handle_eer(CServ& self,
 
   // Locate the SegR(s) this EER rides at this AS: one for source/transit/
   // destination ASes, two at a transfer AS (§4.1). The checks below run
-  // on copies; admission re-reads the records under their shard locks.
+  // on copies; admission re-reads the records under the db lock.
   std::optional<ResKey> segr_in;
   std::optional<ResKey> segr_out;
   std::vector<reservation::SegrRecord> rides;

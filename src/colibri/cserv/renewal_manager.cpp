@@ -18,9 +18,9 @@ size_t RenewalManager::manage_all_local() {
   return added;
 }
 
-std::vector<RenewalBatch> RenewalManager::plan(UnixSec now) {
+std::vector<ResKey> RenewalManager::plan(UnixSec now) {
   const reservation::ReservationDb& db = cserv_->db();
-  std::vector<std::vector<ResKey>> buckets(db.num_shards());
+  std::vector<ResKey> due;
   std::vector<ResKey> gone;
   for (auto& [key, forecaster] : forecasters_) {
     const auto rec = db.segr_copy(key);
@@ -31,21 +31,15 @@ std::vector<RenewalBatch> RenewalManager::plan(UnixSec now) {
     // Observe utilization: the EER bandwidth currently riding this SegR.
     forecaster.observe(rec->eer_allocated_kbps);
     if (rec->active.exp_time > now + cfg_.lead_sec) continue;  // not due
-    buckets[db.shard_of(key.res_id)].push_back(key);
+    due.push_back(key);
   }
   for (const auto& key : gone) forecasters_.erase(key);
 
-  std::vector<RenewalBatch> batches;
-  for (size_t s = 0; s < buckets.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    std::sort(buckets[s].begin(), buckets[s].end(),
-              [](const ResKey& a, const ResKey& b) {
-                return a.res_id != b.res_id ? a.res_id < b.res_id
-                                            : a.src_as.raw() < b.src_as.raw();
-              });
-    batches.push_back(RenewalBatch{s, std::move(buckets[s])});
-  }
-  return batches;
+  std::sort(due.begin(), due.end(), [](const ResKey& a, const ResKey& b) {
+    return a.res_id != b.res_id ? a.res_id < b.res_id
+                                : a.src_as.raw() < b.src_as.raw();
+  });
+  return due;
 }
 
 void RenewalManager::renew_one(const ResKey& key, UnixSec now) {
@@ -117,14 +111,10 @@ void RenewalManager::renew_one(const ResKey& key, UnixSec now) {
 }
 
 void RenewalManager::tick(UnixSec now) {
-  const std::vector<RenewalBatch> batches = plan(now);
-  size_t max_batch = 0;
-  for (const RenewalBatch& batch : batches) {
-    metrics_.batches.inc();
-    max_batch = std::max(max_batch, batch.due.size());
-    for (const ResKey& key : batch.due) renew_one(key, now);
-  }
-  last_batch_max_ = max_batch;
+  const std::vector<ResKey> due = plan(now);
+  if (!due.empty()) metrics_.batches.inc();
+  for (const ResKey& key : due) renew_one(key, now);
+  last_due_ = due.size();
 }
 
 }  // namespace colibri::cserv

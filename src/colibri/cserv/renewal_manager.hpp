@@ -9,11 +9,9 @@
 // (the management-scalability story of §9).
 //
 // Correlated-expiry storms (many SegRs set up together all coming due in
-// the same tick) are drained in per-shard batches: one planning scan
-// groups the due keys by their ReservationDb shard and sorts each batch
-// by ResId, so the drain touches one shard's keys at a time in a
-// deterministic order instead of hopping shards per the hash order of
-// the forecaster map.
+// the same tick) are drained in one pass: one planning scan lists the
+// due keys and sorts them by ResId, so the drain runs in a deterministic
+// order instead of the hash order of the forecaster map.
 #pragma once
 
 #include <unordered_map>
@@ -38,13 +36,7 @@ struct RenewalStats {
   std::uint64_t renewed = 0;
   std::uint64_t activated = 0;
   std::uint64_t failed = 0;
-  std::uint64_t batches = 0;
-};
-
-// One shard's worth of due renewals, ResId-ordered.
-struct RenewalBatch {
-  size_t shard = 0;
-  std::vector<ResKey> due;
+  std::uint64_t batches = 0;  // ticks that found due work
 };
 
 class RenewalManager : public telemetry::MetricsSource {
@@ -68,12 +60,12 @@ class RenewalManager : public telemetry::MetricsSource {
   size_t manage_all_local();
 
   // Planning scan: feeds the forecasters from current utilization, drops
-  // reservations that vanished, and buckets everything due at `now` into
-  // per-shard, ResId-ordered batches (ascending shard index).
-  std::vector<RenewalBatch> plan(UnixSec now);
+  // reservations that vanished, and lists the keys due at `now` in
+  // ResId order.
+  std::vector<ResKey> plan(UnixSec now);
 
-  // One maintenance pass: plan(), then drain every batch — renew +
-  // activate whatever is due. Call alongside CServ::tick().
+  // One maintenance pass: plan(), then drain the list — renew + activate
+  // whatever is due. Call alongside CServ::tick().
   void tick(UnixSec now);
 
   // Uniform stats accessors: consistent point-in-time view + reset.
@@ -86,7 +78,7 @@ class RenewalManager : public telemetry::MetricsSource {
     metrics_.activated.reset();
     metrics_.failed.reset();
     metrics_.batches.reset();
-    last_batch_max_ = 0;
+    last_due_ = 0;
   }
 
   void collect_metrics(telemetry::MetricSink& sink) const override {
@@ -97,7 +89,7 @@ class RenewalManager : public telemetry::MetricsSource {
     sink.gauge("cserv.renewal.managed",
                static_cast<std::int64_t>(forecasters_.size()));
     sink.gauge("cserv.renewal.last_batch_max",
-               static_cast<std::int64_t>(last_batch_max_));
+               static_cast<std::int64_t>(last_due_));
   }
 
  private:
@@ -114,7 +106,7 @@ class RenewalManager : public telemetry::MetricsSource {
     telemetry::Counter batches;
   };
   Metrics metrics_;
-  size_t last_batch_max_ = 0;  // largest batch drained by the latest tick
+  size_t last_due_ = 0;  // keys the latest tick drained (last_batch_max)
   telemetry::ScopedSource registration_;
 };
 

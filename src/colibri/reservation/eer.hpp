@@ -1,4 +1,4 @@
-// End-to-end-reservation store: one ReservationDb shard's EERs, keyed by
+// End-to-end-reservation store: a ReservationDb's EERs, keyed by
 // (SrcAS, ResId). Each EER is filed in the store's expiry index under its
 // latest version's expiry (EERs expire automatically, §4.2), so a sweep
 // pops only the EERs due by `now` and a renewal in place costs nothing.

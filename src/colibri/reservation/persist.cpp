@@ -231,9 +231,9 @@ void ReservationWal::log_eer_erase(const ResKey& key) {
 
 void ReservationWal::checkpoint(const ReservationDb& db) {
   // Snapshot the DB before taking the WAL mutex: loggers run inside DB
-  // shard callbacks (shard lock -> WAL lock), so holding the WAL mutex
-  // across shard iteration would invert the repo-wide lock order (the
-  // WAL is innermost). The checkpoint is point-in-time; callers that
+  // callbacks (db lock -> WAL lock), so holding the WAL mutex across the
+  // db scan would invert the repo-wide lock order (the WAL is
+  // innermost). The checkpoint is point-in-time; callers that
   // need it atomic with respect to writers quiesce them first.
   const std::vector<SegrRecord> segrs = db.segr_snapshot();
   const std::vector<EerRecord> eers = db.eer_snapshot();
@@ -249,7 +249,7 @@ void ReservationWal::checkpoint(const ReservationDb& db) {
 
 size_t ReservationWal::recover(ReservationDb& db) const {
   // Copy the log under the WAL mutex, then replay without it: replay
-  // takes DB shard locks, and the WAL lock must stay innermost.
+  // takes the DB lock, and the WAL lock must stay innermost.
   Bytes log;
   {
     std::lock_guard lock(mu_);

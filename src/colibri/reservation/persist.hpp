@@ -78,8 +78,8 @@ std::optional<EerRecord> decode_eer_record(BytesView data);
 
 // The write-ahead log. Mutating operations on the DB are mirrored here by
 // the owner (log first, then apply — write-ahead). Appends are serialized
-// by an internal mutex so db shards logging concurrently cannot interleave
-// partial frames.
+// by an internal mutex so concurrent loggers cannot interleave partial
+// frames.
 class ReservationWal {
  public:
   explicit ReservationWal(LogStorage& storage) : storage_(&storage) {}

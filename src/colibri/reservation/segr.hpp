@@ -1,4 +1,4 @@
-// Segment-reservation store: one ReservationDb shard's SegRs, keyed by
+// Segment-reservation store: a ReservationDb's SegRs, keyed by
 // (SrcAS, ResId). The paper stores reservations in a transactional
 // database; here an in-memory map whose lookups on the admission path are
 // O(1) (the admission algorithm itself never iterates, see

@@ -1,15 +1,15 @@
-// One ReservationDb shard's record store, with the expiry index that
-// makes its sweep cost grow with what is due rather than with its size.
+// A ReservationDb record store, with the expiry index that makes its
+// sweep cost grow with what is due rather than with its size.
 //
 // Every reservation has an explicit deadline (EERs live 16 s, SegRs about
 // 5 min, §3.2-3.3), so each record is filed in the `ExpiryIndex` under
 // one deadline second and a sweep pops only the seconds due by `now`.
 //
-// Invariant (held under the owning shard's lock): every stored record is
-// filed exactly once, at a second no later than its deadline. Renewals
-// in place only extend a deadline, so the entry stays where it is and
-// costs nothing; the sweep that pops it re-checks the record and
-// re-files it at its current deadline. An update that may move a
+// Invariant (held under the db's lock): every stored record is filed
+// exactly once, at a second no later than its deadline. Renewals in
+// place only extend a deadline, so the entry stays where it is and costs
+// nothing; the sweep that pops it re-checks the record and re-files it
+// at its current deadline. An update that may move a
 // deadline earlier goes through `edit()`, whose handle re-files the
 // record when it is released. `deadline(const Rec&)` (types.hpp) is the
 // rule: a record is removed once its deadline is at or before `now`.

@@ -399,7 +399,7 @@ TEST(EerAdmissionTest, NoSegrRejected) {
 // never exceeds its bandwidth and never goes negative.
 TEST(EerAdmissionTest, AllocationInvariantRandomized) {
   Rng rng(77);
-  reservation::ReservationDb db(kSrcA, 4);
+  reservation::ReservationDb db(kSrcA);
   const auto segr_key = key(kSrcA, 1);
   db.upsert_segr(make_segr(kSrcA, 1, 10'000, topology::SegType::kUp));
   EerAdmission adm(4);

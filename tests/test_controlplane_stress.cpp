@@ -1,7 +1,8 @@
-// Stress tests: sharded control plane under concurrency. Built to run in
-// the CI race lane (TSan) — the assertions are deliberately about
-// invariants that hold under any interleaving, and the value of the suite
-// is the interleavings themselves.
+// Stress tests: the control plane's locked reservation db and striped
+// EER admission under concurrency. Built to run in the CI race lane
+// (TSan) — the assertions are deliberately about invariants that hold
+// under any interleaving, and the value of the suite is the
+// interleavings themselves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +35,7 @@ TEST(ControlPlaneStressTest, ConcurrentAdmitReleaseKeepsLedgerConsistent) {
   constexpr size_t kPerThread = 1'000;
   constexpr BwKbps kDemand = 100;
 
-  reservation::ReservationDb db(kOwner, 8);
+  reservation::ReservationDb db(kOwner);
   admission::EerAdmission adm(8);
   std::vector<ResKey> segr_keys;
   for (ResId id = 1; id <= 16; ++id) {
@@ -74,7 +75,7 @@ TEST(ControlPlaneStressTest, ConcurrentAdmitReleaseKeepsLedgerConsistent) {
 }
 
 TEST(ControlPlaneStressTest, SnapshotReadersRaceWriters) {
-  reservation::ReservationDb db(kOwner, 8);
+  reservation::ReservationDb db(kOwner);
   constexpr size_t kRecords = 4'000;
   std::atomic<bool> stop{false};
 
@@ -95,11 +96,7 @@ TEST(ControlPlaneStressTest, SnapshotReadersRaceWriters) {
     readers.emplace_back([&] {
       while (!stop.load()) {
         const auto snap = db.segr_snapshot();
-        size_t keyed = 0;
-        for (size_t s = 0; s < db.num_shards(); ++s) {
-          keyed += db.eer_keys_of_shard(s).size();
-        }
-        EXPECT_EQ(keyed, 0u);  // no EERs in this test
+        EXPECT_EQ(db.eer_snapshot().size(), 0u);  // no EERs in this test
         std::lock_guard lock(max_mu);
         max_seen = std::max(max_seen, snap.size());
       }
@@ -116,8 +113,6 @@ TEST(ControlPlaneStressTest, SweepRacesBatchedRenewalDrain) {
   app::RenewalStormConfig cfg;
   cfg.num_eers = 4'000;
   cfg.num_segrs = 16;
-  cfg.shards = 8;
-  cfg.threads = 2;
   app::RenewalStorm storm(cfg);
   storm.populate();
 
@@ -138,8 +133,8 @@ TEST(ControlPlaneStressTest, SweepRacesBatchedRenewalDrain) {
   drainer.join();
 
   // Every EER was either renewed or swept; EERs the sweep removed before
-  // the drain read its shard's key list are counted by neither renewed
-  // nor failed, so the counters bound the fleet rather than tile it.
+  // the drain listed the live keys are counted by neither renewed nor
+  // failed, so the counters bound the fleet rather than tile it.
   EXPECT_GE(st.renewed + swept.load(), cfg.num_eers);
   EXPECT_LE(st.renewed + st.failed, cfg.num_eers);
   EXPECT_LE(storm.db().eer_count(), st.renewed);
@@ -154,7 +149,7 @@ TEST(ControlPlaneStressTest, SweeperRacesInPlaceRenewals) {
   constexpr UnixSec kStart = 1'000;
   constexpr UnixSec kSpread = 8;  // deadlines kStart .. kStart + 7
   constexpr UnixSec kRenewedExp = kStart + 100;
-  reservation::ReservationDb db(kOwner, 8);
+  reservation::ReservationDb db(kOwner);
   for (ResId id = 1; id <= kEers; ++id) {
     reservation::EerRecord rec;
     rec.key = ResKey{kOwner, id};
@@ -164,10 +159,9 @@ TEST(ControlPlaneStressTest, SweeperRacesInPlaceRenewals) {
   }
 
   // The sweeper walks `now` across the deadlines while two threads renew
-  // every EER in place; each renewal and each sweep hold the owning
-  // shard's lock, so an EER is either renewed before its sweep (and is
-  // re-filed, not swept) or swept before its renewal (which then finds
-  // nothing).
+  // every EER in place; each renewal and each sweep hold the db lock, so
+  // an EER is either renewed before its sweep (and is re-filed, not
+  // swept) or swept before its renewal (which then finds nothing).
   std::vector<ResKey> swept;
   std::thread sweeper([&] {
     for (UnixSec now = kStart; now < kStart + kSpread; ++now) {
@@ -212,24 +206,8 @@ TEST(ControlPlaneStressTest, SweeperRacesInPlaceRenewals) {
   EXPECT_EQ(db.eer_count(), 0u);
 }
 
-TEST(ControlPlaneStressTest, ParallelDrainWorkersSplitTheShards) {
-  app::RenewalStormConfig cfg;
-  cfg.num_eers = 8'000;
-  cfg.num_segrs = 16;
-  cfg.shards = 8;
-  cfg.threads = 4;
-  app::RenewalStorm storm(cfg);
-  storm.populate();
-
-  const auto st = storm.drain_batched(storm.storm_expiry());
-  EXPECT_EQ(st.renewed, cfg.num_eers);
-  EXPECT_EQ(st.failed, 0u);
-  EXPECT_EQ(st.batches, cfg.shards);
-  EXPECT_EQ(storm.db().eer_count(), cfg.num_eers);
-}
-
 TEST(ControlPlaneStressTest, ConcurrentIdAllocationNeverCollides) {
-  reservation::ReservationDb db(kOwner, 8);
+  reservation::ReservationDb db(kOwner);
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 5'000;
   std::vector<std::vector<ResId>> minted(kThreads);

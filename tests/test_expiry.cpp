@@ -7,9 +7,8 @@
 // activates pending SegR versions, erases, checkpoints the WAL and
 // recovers into a fresh db, and ticks at random times. Before each tick
 // the reference scans eer_snapshot() / segr_snapshot() with the expiry
-// rules written out below, orders what is due shard by shard in
-// (deadline, src_as, res_id) order, and each sweep's callbacks must equal
-// that list.
+// rules written out below, orders what is due by (deadline, src_as,
+// res_id), and each sweep's callbacks must equal that list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,21 +60,14 @@ UnixSec segr_order_time(const SegrRecord& r) {
 
 template <typename Rec, typename DueFn, typename TimeFn>
 std::vector<Due> reference(const std::vector<Rec>& snapshot, UnixSec now,
-                           size_t shards, DueFn due, TimeFn order_time) {
-  std::vector<std::vector<Due>> per_shard(shards);
-  for (const Rec& r : snapshot) {
-    if (!due(r, now)) continue;
-    per_shard[ReservationDb::shard_of(r.key.res_id, shards)].push_back(
-        Due{order_time(r), r.key});
-  }
+                           DueFn due, TimeFn order_time) {
   std::vector<Due> out;
-  for (auto& list : per_shard) {
-    std::sort(list.begin(), list.end(), [](const Due& a, const Due& b) {
-      return a.deadline != b.deadline ? a.deadline < b.deadline
-                                      : a.key < b.key;
-    });
-    out.insert(out.end(), list.begin(), list.end());
+  for (const Rec& r : snapshot) {
+    if (due(r, now)) out.push_back(Due{order_time(r), r.key});
   }
+  std::sort(out.begin(), out.end(), [](const Due& a, const Due& b) {
+    return a.deadline != b.deadline ? a.deadline < b.deadline : a.key < b.key;
+  });
   return out;
 }
 
@@ -84,9 +76,7 @@ std::vector<Due> reference(const std::vector<Rec>& snapshot, UnixSec now,
 class ExpiryWorkload {
  public:
   explicit ExpiryWorkload(std::uint64_t seed)
-      : rng_(seed),
-        shards_(1 + rng_.below(8)),
-        db_(std::make_unique<ReservationDb>(kOwner, shards_)) {}
+      : rng_(seed), db_(std::make_unique<ReservationDb>(kOwner)) {}
 
   void step() {
     switch (rng_.below(12)) {
@@ -114,10 +104,10 @@ class ExpiryWorkload {
 
   void tick() {
     now_ += static_cast<UnixSec>(rng_.below(6));
-    const auto eers = reference(db_->eer_snapshot(), now_, shards_, eer_due,
-                                eer_order_time);
-    const auto segrs = reference(db_->segr_snapshot(), now_, shards_,
-                                 segr_due, segr_order_time);
+    const auto eers =
+        reference(db_->eer_snapshot(), now_, eer_due, eer_order_time);
+    const auto segrs =
+        reference(db_->segr_snapshot(), now_, segr_due, segr_order_time);
     std::vector<Due> got_eers;
     std::vector<Due> got_segrs;
     size_t examined = 0;
@@ -227,8 +217,8 @@ class ExpiryWorkload {
     });
   }
 
-  // Two SegRs under one (or two) shard locks: shorten one, extend the
-  // other's pending version.
+  // Two SegRs in one locked update: shorten one, extend the other's
+  // pending version.
   void pair_update() {
     const ResKey a = random_key();
     const std::optional<ResKey> b =
@@ -248,7 +238,7 @@ class ExpiryWorkload {
     MemoryStorage storage;
     ReservationWal wal(storage);
     wal.checkpoint(*db_);
-    auto fresh = std::make_unique<ReservationDb>(kOwner, shards_);
+    auto fresh = std::make_unique<ReservationDb>(kOwner);
     wal.recover(*fresh);
     ASSERT_EQ(fresh->eer_count(), db_->eer_count());
     ASSERT_EQ(fresh->segr_count(), db_->segr_count());
@@ -257,7 +247,6 @@ class ExpiryWorkload {
   }
 
   Rng rng_;
-  size_t shards_;
   std::unique_ptr<ReservationDb> db_;
   UnixSec now_ = 1'000;
   size_t expired_ = 0;
@@ -294,7 +283,7 @@ TEST(ExpiryDifferentialTest, SweepExaminesOnlyDueEntries) {
   constexpr ResId kLive = 100'000;
   constexpr size_t kDue = 37;
   constexpr size_t kRenewed = 500;
-  ReservationDb db(kOwner, 8);
+  ReservationDb db(kOwner);
   for (ResId id = 1; id <= kLive; ++id) db.upsert_eer(make_eer(id, 1'000));
 
   // None due: the sweep touches no entry at all.

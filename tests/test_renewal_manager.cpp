@@ -3,8 +3,12 @@
 // EER sessions keep flowing across a 20-minute simulated run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "colibri/app/testbed.hpp"
 #include "colibri/cserv/renewal_manager.hpp"
+#include "colibri/telemetry/alerts.hpp"
+#include "colibri/telemetry/timeseries.hpp"
 
 namespace colibri::cserv {
 namespace {
@@ -63,9 +67,8 @@ TEST_F(RenewalManagerTest, RenewsAheadOfExpiryAndActivates) {
   EXPECT_FALSE(renewed->pending.has_value());
 }
 
-TEST_F(RenewalManagerTest, PlanBucketsDueKeysByShardInOrder) {
+TEST_F(RenewalManagerTest, PlanListsDueKeysInResIdOrder) {
   const AsId src{1, 110};
-  auto& db = bed_.cserv(src).db();
   RenewalManager mgr(bed_.cserv(src));
   const size_t managed = mgr.manage_all_local();
   ASSERT_GT(managed, 0u);
@@ -74,30 +77,19 @@ TEST_F(RenewalManagerTest, PlanBucketsDueKeysByShardInOrder) {
   EXPECT_TRUE(mgr.plan(clock_.now_sec()).empty());
 
   // Everything was provisioned together, so the whole fleet comes due in
-  // the same window — the correlated storm, planned as per-shard batches.
+  // the same window — the correlated storm, planned as one list.
   clock_.advance(260 * kNsPerSec);
-  const auto batches = mgr.plan(clock_.now_sec());
-  size_t total = 0;
-  size_t last_shard = 0;
-  for (size_t i = 0; i < batches.size(); ++i) {
-    const auto& batch = batches[i];
-    EXPECT_FALSE(batch.due.empty());
-    if (i > 0) EXPECT_GT(batch.shard, last_shard);  // ascending shards
-    last_shard = batch.shard;
-    ResId prev = 0;
-    for (const ResKey& key : batch.due) {
-      EXPECT_EQ(db.shard_of(key.res_id), batch.shard);
-      EXPECT_GE(key.res_id, prev);  // ResId-ordered inside the batch
-      prev = key.res_id;
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, managed);
+  const auto due = mgr.plan(clock_.now_sec());
+  EXPECT_EQ(due.size(), managed);
+  EXPECT_TRUE(std::is_sorted(due.begin(), due.end(),
+                             [](const ResKey& a, const ResKey& b) {
+                               return a.res_id < b.res_id;
+                             }));
 
-  // The tick drains exactly those batches and reports them.
+  // The tick drains exactly that list: one tick with due work.
   mgr.tick(clock_.now_sec());
   EXPECT_EQ(mgr.snapshot().renewed, managed);
-  EXPECT_EQ(mgr.snapshot().batches, batches.size());
+  EXPECT_EQ(mgr.snapshot().batches, 1u);
 }
 
 TEST_F(RenewalManagerTest, WhitelistSurvivesVersionBump) {
@@ -194,6 +186,78 @@ TEST_F(RenewalManagerTest, DemandTracksUtilization) {
   // Renewed at >= utilization (with forecaster headroom), not at some
   // unrelated static size.
   EXPECT_GE(renewed->active.bw_kbps, 1'500'000u);
+}
+
+// --- the control-plane alert pack ------------------------------------------
+
+// The renewal-backlog rule of default_cserv_alert_rules() reads
+// cserv.renewal.last_batch_max, the number of SegRs the latest renewal
+// tick drained. The two-ISD testbed provisions every SegR at once, so an
+// AS's whole fleet comes due in one tick.
+class RenewalBacklogAlertTest : public ::testing::Test {
+ protected:
+  RenewalBacklogAlertTest()
+      : clock_(1000 * kNsPerSec),
+        bed_(topology::builders::two_isd_topology(), clock_, {},
+             app::TestbedOptions{.per_as_metrics = true}) {
+    bed_.provision_all_segments(1000, 2'000'000);
+    // Watch the AS that initiated the most SegRs.
+    for (AsId as : bed_.topology().as_ids()) {
+      size_t own = 0;
+      bed_.cserv(as).db().for_each_segr(
+          [&](const reservation::SegrRecord& rec) {
+            own += rec.key.src_as == as ? 1 : 0;
+          });
+      if (own > fleet_) {
+        fleet_ = own;
+        as_ = as;
+      }
+    }
+  }
+
+  // Runs one renewal tick over the AS's whole fleet, cuts a sampler
+  // window after it, and returns the renewal-backlog rule's status.
+  telemetry::AlertStatus backlog_after_storm(std::uint64_t renewal_backlog) {
+    telemetry::WindowedSamplerConfig scfg;
+    scfg.period_ns = kNsPerSec;
+    telemetry::WindowedSampler sampler(*bed_.as_metrics(as_), clock_, scfg);
+    telemetry::AlertEngine engine(sampler, clock_);
+    engine.add_rules(default_cserv_alert_rules(50'000'000, renewal_backlog));
+    RenewalManager mgr(bed_.cserv(as_));
+    EXPECT_EQ(mgr.manage_all_local(), fleet_);
+    clock_.advance(kNsPerSec);
+    EXPECT_FALSE(sampler.poll());  // baseline
+
+    clock_.advance(260 * kNsPerSec);  // the fleet is inside the lead window
+    mgr.tick(clock_.now_sec());
+    EXPECT_EQ(mgr.snapshot().renewed, fleet_);
+    EXPECT_TRUE(sampler.poll());
+    engine.evaluate();
+    for (const telemetry::AlertStatus& st : engine.status()) {
+      if (st.name == "cserv.renewal-backlog") return st;
+    }
+    ADD_FAILURE() << "no cserv.renewal-backlog rule";
+    return {};
+  }
+
+  SimClock clock_;
+  app::Testbed bed_;
+  AsId as_;
+  size_t fleet_ = 0;  // SegRs as_ initiated
+};
+
+TEST_F(RenewalBacklogAlertTest, FiresWhenOneTickDrainsMoreThanTheBacklog) {
+  ASSERT_GT(fleet_, 1u);
+  const telemetry::AlertStatus st = backlog_after_storm(fleet_ - 1);
+  EXPECT_EQ(st.last_value, static_cast<double>(fleet_));
+  EXPECT_EQ(st.state, telemetry::AlertState::kFiring);
+}
+
+TEST_F(RenewalBacklogAlertTest, StaysQuietWhenOneTickDrainsTheBacklog) {
+  ASSERT_GT(fleet_, 1u);
+  const telemetry::AlertStatus st = backlog_after_storm(fleet_);
+  EXPECT_EQ(st.last_value, static_cast<double>(fleet_));
+  EXPECT_EQ(st.state, telemetry::AlertState::kInactive);
 }
 
 }  // namespace

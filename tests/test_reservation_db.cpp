@@ -1,8 +1,7 @@
-// Tests: sharded ReservationDb — stable shard routing, scoped access,
-// pair locking, atomic id allocation, snapshots, two-phase sweeps.
+// Tests: ReservationDb — scoped access, pair access, atomic id
+// allocation, snapshots, two-phase sweeps.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -35,38 +34,8 @@ EerRecord make_eer(ResId id, UnixSec exp = 1'000) {
   return rec;
 }
 
-TEST(ReservationDbShardingTest, RoutingIsStableAndInRange) {
-  for (size_t shards : {1u, 2u, 8u, 13u}) {
-    for (ResId id = 1; id < 200; ++id) {
-      const size_t s = ReservationDb::shard_of(id, shards);
-      EXPECT_LT(s, shards);
-      EXPECT_EQ(s, ReservationDb::shard_of(id, shards));  // deterministic
-    }
-  }
-}
-
-TEST(ReservationDbShardingTest, SpreadsIdsAcrossShards) {
-  constexpr size_t kShards = 8;
-  std::vector<size_t> per_shard(kShards, 0);
-  for (ResId id = 1; id <= 8'000; ++id) {
-    ++per_shard[ReservationDb::shard_of(id, kShards)];
-  }
-  // splitmix64 over sequential ids must not collapse onto few shards.
-  for (size_t n : per_shard) {
-    EXPECT_GT(n, 8'000 / kShards / 2);
-    EXPECT_LT(n, 8'000 / kShards * 2);
-  }
-}
-
-TEST(ReservationDbShardingTest, ZeroShardCountClampsToOne) {
-  ReservationDb db(kOwner, 0);
-  EXPECT_EQ(db.num_shards(), 1u);
-  db.upsert_segr(make_segr(1));
-  EXPECT_TRUE(db.contains_segr(ResKey{kOwner, 1}));
-}
-
 TEST(ReservationDbTest, WithSegrSeesStoredRecordAndAbsence) {
-  ReservationDb db(kOwner, 4);
+  ReservationDb db(kOwner);
   db.upsert_segr(make_segr(5, 7'777));
   const BwKbps bw = db.with_segr(ResKey{kOwner, 5}, [](SegrRecord* rec) {
     return rec == nullptr ? 0u : rec->active.bw_kbps;
@@ -79,7 +48,7 @@ TEST(ReservationDbTest, WithSegrSeesStoredRecordAndAbsence) {
 }
 
 TEST(ReservationDbTest, WithSegrMutatesInPlace) {
-  ReservationDb db(kOwner, 4);
+  ReservationDb db(kOwner);
   db.upsert_segr(make_segr(5));
   db.with_segr(ResKey{kOwner, 5}, [](SegrRecord* rec) {
     ASSERT_NE(rec, nullptr);
@@ -89,17 +58,12 @@ TEST(ReservationDbTest, WithSegrMutatesInPlace) {
 }
 
 TEST(ReservationDbTest, WithSegrPairLocksBothOrEither) {
-  ReservationDb db(kOwner, 8);
-  // Find two ids landing on different shards and two on the same shard.
-  ResId a = 1, b = 2;
-  while (db.shard_of(b) == db.shard_of(a)) ++b;
-  ResId c = b + 1;
-  while (db.shard_of(c) != db.shard_of(a)) ++c;
+  ReservationDb db(kOwner);
+  const ResId a = 1, b = 2, missing = 3;
   db.upsert_segr(make_segr(a));
   db.upsert_segr(make_segr(b));
-  db.upsert_segr(make_segr(c));
 
-  // Distinct shards.
+  // Both present.
   db.with_segr_pair(ResKey{kOwner, a}, ResKey{kOwner, b},
                     [](SegrRecord* ra, SegrRecord* rb) {
                       ASSERT_NE(ra, nullptr);
@@ -107,11 +71,17 @@ TEST(ReservationDbTest, WithSegrPairLocksBothOrEither) {
                       ra->eer_allocated_kbps = 1;
                       rb->eer_allocated_kbps = 2;
                     });
-  // Same shard (must not deadlock on a double lock).
-  db.with_segr_pair(ResKey{kOwner, a}, ResKey{kOwner, c},
-                    [](SegrRecord* ra, SegrRecord* rc) {
+  // The same key twice (must not deadlock on a double lock).
+  db.with_segr_pair(ResKey{kOwner, a}, ResKey{kOwner, a},
+                    [](SegrRecord* ra, SegrRecord* ra2) {
                       ASSERT_NE(ra, nullptr);
-                      ASSERT_NE(rc, nullptr);
+                      EXPECT_EQ(ra, ra2);
+                    });
+  // A second key that names no record.
+  db.with_segr_pair(ResKey{kOwner, a}, ResKey{kOwner, missing},
+                    [](SegrRecord* ra, SegrRecord* rm) {
+                      ASSERT_NE(ra, nullptr);
+                      EXPECT_EQ(rm, nullptr);
                     });
   // No second key.
   db.with_segr_pair(ResKey{kOwner, a}, std::nullopt,
@@ -124,7 +94,7 @@ TEST(ReservationDbTest, WithSegrPairLocksBothOrEither) {
 }
 
 TEST(ReservationDbTest, CountsAndSnapshotsSpanAllShards) {
-  ReservationDb db(kOwner, 8);
+  ReservationDb db(kOwner);
   for (ResId id = 1; id <= 100; ++id) db.upsert_segr(make_segr(id));
   for (ResId id = 200; id < 250; ++id) db.upsert_eer(make_eer(id));
   EXPECT_EQ(db.segr_count(), 100u);
@@ -138,26 +108,8 @@ TEST(ReservationDbTest, CountsAndSnapshotsSpanAllShards) {
   EXPECT_EQ(eers, 50u);
 }
 
-TEST(ReservationDbTest, EerKeysOfShardAreOrderedAndPartition) {
-  ReservationDb db(kOwner, 8);
-  for (ResId id = 1; id <= 500; ++id) db.upsert_eer(make_eer(id));
-  std::set<ResId> all;
-  for (size_t s = 0; s < db.num_shards(); ++s) {
-    const auto keys = db.eer_keys_of_shard(s);
-    for (const ResKey& k : keys) {
-      EXPECT_EQ(db.shard_of(k.res_id), s);
-      EXPECT_TRUE(all.insert(k.res_id).second);  // partition: no overlap
-    }
-    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end(),
-                               [](const ResKey& x, const ResKey& y) {
-                                 return x.res_id < y.res_id;
-                               }));
-  }
-  EXPECT_EQ(all.size(), 500u);  // partition: complete
-}
-
 TEST(ReservationDbTest, TwoPhaseSweepRunsCallbacksOnCopies) {
-  ReservationDb db(kOwner, 4);
+  ReservationDb db(kOwner);
   for (ResId id = 1; id <= 20; ++id) db.upsert_segr(make_segr(id, 10'000, 100));
   db.upsert_segr(make_segr(21, 10'000, 9'999));  // survives
 
@@ -173,7 +125,7 @@ TEST(ReservationDbTest, TwoPhaseSweepRunsCallbacksOnCopies) {
 }
 
 TEST(ReservationDbTest, SweepEersDropsExpiredVersionsOnly) {
-  ReservationDb db(kOwner, 4);
+  ReservationDb db(kOwner);
   db.upsert_eer(make_eer(1, 100));
   auto live = make_eer(2, 100);
   live.versions.push_back(EerVersion{1, 100, 900});  // renewed
@@ -187,7 +139,7 @@ TEST(ReservationDbTest, SweepEersDropsExpiredVersionsOnly) {
 }
 
 TEST(ReservationDbTest, NextResIdIsUniqueAcrossThreads) {
-  ReservationDb db(kOwner, 8);
+  ReservationDb db(kOwner);
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 20'000;
   std::vector<std::vector<ResId>> minted(kThreads);
