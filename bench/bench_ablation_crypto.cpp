@@ -14,7 +14,6 @@
 #include "bench_json.hpp"
 
 #include "colibri/common/rand.hpp"
-#include "colibri/crypto/cbcmac.hpp"
 #include "colibri/crypto/cmac.hpp"
 #include "colibri/crypto/eax.hpp"
 #include "colibri/dataplane/hvf.hpp"
@@ -103,23 +102,6 @@ void BM_CmacHopAuthInput(benchmark::State& state) {
 }
 
 BENCHMARK(BM_CmacHopAuthInput);
-
-void BM_LengthPrefixedCbcMac(benchmark::State& state) {
-  std::uint8_t key[16];
-  Rng rng(5);
-  rng.fill(key, 16);
-  crypto::CbcMac mac(key);
-  std::uint8_t msg[proto::kHopAuthInputLen];
-  mac_input(rng, msg);
-  std::uint8_t out[16];
-  for (auto _ : state) {
-    mac.compute(msg, sizeof(msg), out);
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-BENCHMARK(BM_LengthPrefixedCbcMac);
 
 // Gateway per-packet crypto with h stored hop authenticators: h x
 // (key schedule + 1 AES block), Eq. 6.

@@ -9,8 +9,9 @@
 // Percentiles are computed over the per-repetition iteration times of
 // each benchmark family: a single run (the default) yields
 // p50 == p99 == the measured time; pass --benchmark_repetitions=N to
-// get real spread. ops_per_sec prefers the items_per_second counter
-// (set via SetItemsProcessed) and falls back to iterations per second.
+// get real spread. ops_per_sec is the median repetition's
+// items_per_second counter (set via SetItemsProcessed), falling back to
+// iterations per second at the p50 time.
 //
 // google-benchmark binaries: replace BENCHMARK_MAIN() with
 // COLIBRI_BENCH_MAIN(<name>). Plain-main binaries: fill a ManualBench
@@ -35,6 +36,14 @@ struct Sample {
   double items_per_sec = 0;  // 0 = not reported
 };
 
+// One row of the JSON file.
+struct Row {
+  std::string name;
+  double ops_per_sec = 0;
+  double p50_ns = 0;
+  double p99_ns = 0;
+};
+
 inline double percentile(std::vector<double> v, double q) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -43,6 +52,23 @@ inline double percentile(std::vector<double> v, double q) {
   const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+// A family's row over its repetitions: p50/p99 of the times, and the
+// median of the items_per_second rates, so a repeated row reports its
+// typical run rather than its best.
+inline Row summarize(const std::string& family,
+                     const std::vector<Sample>& samples) {
+  std::vector<double> times;
+  std::vector<double> rates;
+  for (const Sample& s : samples) {
+    times.push_back(s.time_ns);
+    if (s.items_per_sec > 0) rates.push_back(s.items_per_sec);
+  }
+  const double p50 = percentile(times, 0.50);
+  const double ops = !rates.empty() ? percentile(rates, 0.50)
+                                    : (p50 > 0 ? 1e9 / p50 : 0);
+  return {family, ops, p50, percentile(times, 0.99)};
 }
 
 // Derived ratio rows. A bench file registers
@@ -77,21 +103,14 @@ inline bool request_ratio(std::string name, std::string numer,
 // Name-keyed with overwrite semantics: google-benchmark re-enters the
 // benchmark function several times while calibrating the iteration
 // count, and only the final (longest) run should survive into the JSON.
-struct ExtraResult {
-  std::string name;
-  double ops_per_sec = 0;
-  double p50_ns = 0;
-  double p99_ns = 0;
-};
-
-inline std::vector<ExtraResult>& extra_results() {
-  static std::vector<ExtraResult> rows;
+inline std::vector<Row>& extra_results() {
+  static std::vector<Row> rows;
   return rows;
 }
 
 inline void add_extra_result(const std::string& name, double ops_per_sec,
                              double p50_ns, double p99_ns) {
-  for (ExtraResult& row : extra_results()) {
+  for (Row& row : extra_results()) {
     if (row.name == name) {
       row = {name, ops_per_sec, p50_ns, p99_ns};
       return;
@@ -118,15 +137,7 @@ class JsonWriter {
 
   bool write() {
     for (const auto& [family, samples] : samples_) {
-      std::vector<double> times;
-      double items = 0;
-      for (const Sample& s : samples) {
-        times.push_back(s.time_ns);
-        items = std::max(items, s.items_per_sec);
-      }
-      const double p50 = percentile(times, 0.50);
-      const double ops = items > 0 ? items : (p50 > 0 ? 1e9 / p50 : 0);
-      results_.push_back({family, ops, p50, percentile(times, 0.99)});
+      results_.push_back(summarize(family, samples));
     }
     samples_.clear();
 
@@ -152,9 +163,7 @@ class JsonWriter {
       }
     }
 
-    for (const ExtraResult& row : extra_results()) {
-      results_.push_back({row.name, row.ops_per_sec, row.p50_ns, row.p99_ns});
-    }
+    for (const Row& row : extra_results()) results_.push_back(row);
     extra_results().clear();
 
     const std::string path = "BENCH_" + bench_name_ + ".json";
@@ -163,7 +172,7 @@ class JsonWriter {
     std::fprintf(f, "{\"benchmark\":\"%s\",\"results\":[",
                  bench_name_.c_str());
     for (std::size_t i = 0; i < results_.size(); ++i) {
-      const Entry& e = results_[i];
+      const Row& e = results_[i];
       std::fprintf(f,
                    "%s\n {\"name\":\"%s\",\"ops_per_sec\":%.6g,"
                    "\"p50_ns\":%.6g,\"p99_ns\":%.6g}",
@@ -178,13 +187,6 @@ class JsonWriter {
   }
 
  private:
-  struct Entry {
-    std::string name;
-    double ops_per_sec;
-    double p50_ns;
-    double p99_ns;
-  };
-
   static std::string json_escape(const std::string& s) {
     std::string out;
     for (char c : s) {
@@ -196,7 +198,7 @@ class JsonWriter {
 
   std::string bench_name_;
   std::map<std::string, std::vector<Sample>> samples_;
-  std::vector<Entry> results_;
+  std::vector<Row> results_;
 };
 
 // RAII wrapper for plain-main benchmarks: add results, destructor writes.

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <memory>
 
-#include "colibri/app/renewal_storm.hpp"
 #include "colibri/app/testbed.hpp"
 #include "colibri/reservation/db.hpp"
 #include "colibri/topology/generator.hpp"
@@ -99,40 +98,6 @@ BENCHMARK(BM_EerAcrossGeneratedTopology)
     ->Arg(5)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(2000);
-
-// --- renewal-storm drain --------------------------------------------------
-//
-// §3.2 + §9: SegRs set up together expire together, so hundreds of
-// thousands of EER renewals come due in one 16 s window. The drain takes
-// the due EERs in one ResId-ordered pass straight into the admission
-// ledger. The per-item renewal through the bus is BM_EerRenewal in
-// bench_cserv_throughput. Five repetitions per row; the JSON p50 is their
-// median, p99 their spread.
-
-void BM_RenewalStormBatched(benchmark::State& state) {
-  app::RenewalStormConfig cfg;
-  cfg.num_eers = static_cast<size_t>(state.range(0));
-  cfg.num_segrs = 64;
-  std::uint64_t renewed = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    app::RenewalStorm storm(cfg);
-    storm.populate();
-    state.ResumeTiming();
-    const auto st = storm.drain_batched(storm.storm_expiry());
-    renewed += st.renewed;
-    if (st.failed != 0) state.SkipWithError("batched drain failed renewals");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(renewed));
-  state.SetLabel("one ResId-ordered pass into the admission ledger");
-}
-
-BENCHMARK(BM_RenewalStormBatched)
-    ->Arg(50'000)
-    ->Arg(200'000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->Repetitions(5);
 
 // --- expiry tick: cost follows what is due, not what is live ------------
 //

@@ -61,8 +61,10 @@ int main() {
     const AsId dst = leaves[rng.below(leaves.size())];
     if (src == dst || src.isd() == dst.isd()) continue;
     ++attempted;
-    auto session = bed.daemon(src).open_session(
-        dst, HostAddr::from_u64(host++), HostAddr::from_u64(host++), 10, 500);
+    const HostAddr src_host = HostAddr::from_u64(host++);
+    const HostAddr dst_host = HostAddr::from_u64(host++);
+    auto session =
+        bed.daemon(src).open_session(dst, src_host, dst_host, 10, 500);
     established += session.ok();
   }
   const auto t3 = std::chrono::steady_clock::now();

@@ -103,9 +103,6 @@ class EerAdmission {
   // swept from the db is skipped — its counters died with it.
   void release(reservation::ReservationDb& db, const ResKey& eer_key);
 
-  size_t stripes() const { return stripes_.size(); }
-  // Read-side introspection; callers must be quiesced (tests/diagnostics).
-  const TransferLedger& transfer_ledger() const { return transfer_; }
   size_t tracked() const;
 
   // Copy-out view of one tracked allocation, for cross-checking the

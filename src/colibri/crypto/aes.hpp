@@ -42,12 +42,9 @@ class Aes128 {
   // under this key uses.
   void set_key(const std::uint8_t key[kKeySize]);
 
-  // Single-block ECB encryption/decryption. in and out may alias.
-  // Decryption is portable only and walks the encryption schedule
-  // backwards.
+  // Single-block ECB encryption. in and out may alias. Colibri's modes
+  // (CMAC, CTR, EAX, the HVF CBC-MAC) only ever encrypt.
   void encrypt_block(const std::uint8_t in[kBlockSize],
-                     std::uint8_t out[kBlockSize]) const;
-  void decrypt_block(const std::uint8_t in[kBlockSize],
                      std::uint8_t out[kBlockSize]) const;
 
   // Same-key multi-block ECB over `n` independent blocks. On AES-NI the

@@ -535,7 +535,6 @@ std::vector<std::vector<SegrAdvert>> CServ::lookup_chains(AsId dst) {
 // --- policing & housekeeping ---------------------------------------------------------
 
 void CServ::report_offense(const dataplane::OffenseReport& offense) {
-  offense_log_.push_back(offense);
   // Misbehavior is established with certainty (cryptographic checks +
   // deterministic monitoring), so drastic measures are safe (§4.8):
   // deny all future reservations from the offender.
@@ -562,6 +561,7 @@ void CServ::tick() {
       now,
       [this](const reservation::EerRecord& rec) {
         admission_->release_eer(db_, rec.key);
+        rate_limiter_.forget_reservation(rec.key);
         if (wal_ != nullptr) wal_->log_eer_erase(rec.key);
         // The gateway serves only this AS's reservations, keyed by ResId.
         if (gateway_ != nullptr && rec.key.src_as == local_) {
@@ -579,6 +579,7 @@ void CServ::tick() {
       now,
       [this](const reservation::SegrRecord& rec) {
         admission_->release_segr(rec.key);
+        rate_limiter_.forget_reservation(rec.key);
         if (wal_ != nullptr) wal_->log_segr_erase(rec.key);
         if (cfg_.events != nullptr) {
           cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "segr.expired")

@@ -104,7 +104,7 @@ class CServ : public telemetry::MetricsSource {
   const reservation::ReservationDb& db() const { return db_; }
   const drkey::Key128& hop_key() const { return hop_key_; }
   const drkey::Engine& drkey_engine() const { return drkey_engine_; }
-  admission::AdmissionBackend& admission_backend() { return *admission_; }
+  const ControlRateLimiter& rate_limiter() const { return rate_limiter_; }
   // Bounded-tube ledger introspection (tests/diagnostics); only valid
   // with the default backend.
   admission::SegrAdmission& segr_admission();
@@ -266,7 +266,6 @@ class CServ : public telemetry::MetricsSource {
   FailoverManager* failover_ = nullptr;
   HostAcceptor host_acceptor_;
   std::unordered_set<AsId> denied_sources_;
-  std::vector<dataplane::OffenseReport> offense_log_;
   std::unordered_map<ResKey, std::vector<proto::Hvf>> segr_tokens_;
   Rng rng_;
 

@@ -486,7 +486,10 @@ std::optional<CServ::Reply> Handlers::handle_eer(CServ& self,
   auto& msg = std::get<proto::EerRequest>(ap.message);
   const std::uint8_t hop = pkt.current_hop;
   const UnixSec now_sec = self.clock_->now_sec();
+  // Only an EER this AS stores has a renewal bucket; a renewal of one it
+  // does not store is admitted like a setup.
   if (pkt.type == proto::PacketType::kEerRenewal &&
+      self.db_.contains_eer(pkt.resinfo.key()) &&
       !self.rate_limiter_.allow_renewal(pkt.resinfo.key(),
                                         self.clock_->now_ns())) {
     self.metrics_.rate_limited.inc();

@@ -14,18 +14,29 @@
 
 namespace colibri::cserv {
 
-// Sliding-refill counter: allows `rate_per_sec` events per second with a
-// burst of `burst`.
+// Sliding-refill counter per key: allows `rate_per_sec` events per
+// second with a burst of `burst`.
+template <typename Key>
 class RequestLimiter {
  public:
   RequestLimiter(double rate_per_sec, double burst)
       : rate_(rate_per_sec), burst_(burst) {}
 
-  bool allow(std::uint64_t key, TimeNs now);
+  bool allow(const Key& key, TimeNs now) {
+    auto [it, inserted] = state_.try_emplace(key, State{burst_, now});
+    State& s = it->second;
+    if (!inserted && now > s.last) {
+      s.tokens += rate_ * static_cast<double>(now - s.last) / kNsPerSec;
+      if (s.tokens > burst_) s.tokens = burst_;
+      s.last = now;
+    }
+    if (s.tokens < 1.0) return false;
+    s.tokens -= 1.0;
+    return true;
+  }
 
+  void forget(const Key& key) { state_.erase(key); }
   size_t tracked() const { return state_.size(); }
-  // Drops entries idle for more than `idle_ns`.
-  void expire(TimeNs now, TimeNs idle_ns);
 
  private:
   struct State {
@@ -34,7 +45,7 @@ class RequestLimiter {
   };
   double rate_;
   double burst_;
-  std::unordered_map<std::uint64_t, State> state_;
+  std::unordered_map<Key, State> state_;
 };
 
 struct RateLimitConfig {
@@ -51,21 +62,22 @@ class ControlRateLimiter {
         per_as_(cfg.per_as_requests_per_sec, cfg.per_as_burst),
         per_res_(cfg.renewals_per_reservation_per_sec, cfg.renewal_burst) {}
 
-  bool allow_request(AsId src, TimeNs now) {
-    return per_as_.allow(src.raw(), now);
-  }
+  bool allow_request(AsId src, TimeNs now) { return per_as_.allow(src, now); }
+
+  // One bucket per reservation this AS stores: ask only for a stored
+  // reservation, and forget its bucket when the reservation is swept.
   bool allow_renewal(const ResKey& key, TimeNs now) {
-    return per_res_.allow(key.src_as.raw() ^
-                              (static_cast<std::uint64_t>(key.res_id) << 32),
-                          now);
+    return per_res_.allow(key, now);
   }
+  void forget_reservation(const ResKey& key) { per_res_.forget(key); }
+  size_t renewal_buckets() const { return per_res_.tracked(); }
 
   const RateLimitConfig& config() const { return cfg_; }
 
  private:
   RateLimitConfig cfg_;
-  RequestLimiter per_as_;
-  RequestLimiter per_res_;
+  RequestLimiter<AsId> per_as_;
+  RequestLimiter<ResKey> per_res_;
 };
 
 }  // namespace colibri::cserv

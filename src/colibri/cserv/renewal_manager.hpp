@@ -53,7 +53,6 @@ class RenewalManager : public telemetry::MetricsSource {
 
   // Starts managing a SegR this AS initiated.
   void manage(const ResKey& key) { forecasters_.try_emplace(key, cfg_.forecast); }
-  void unmanage(const ResKey& key) { forecasters_.erase(key); }
   size_t managed() const { return forecasters_.size(); }
 
   // Convenience: manage every SegR currently initiated by this AS.

@@ -30,8 +30,6 @@ class BloomFilter {
   void prefetch(std::uint64_t h1, std::uint64_t h2) const;
   void clear();
 
-  size_t bit_count() const { return words_.size() * 64; }
-  int hash_count() const { return k_; }
   // Predicted false-positive rate after n insertions.
   static double predicted_fpr(size_t bits, int k, size_t n);
 

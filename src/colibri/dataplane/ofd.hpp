@@ -73,7 +73,6 @@ class OverUseFlowDetector : public telemetry::MetricsSource {
   void set_event_log(telemetry::EventLog* log) { events_ = log; }
 
   size_t watchlist_size() const { return watchlist_.size(); }
-  std::uint64_t flagged_total() const { return flagged_.value(); }
   std::uint64_t confirmed_total() const { return confirmed_.value(); }
 
   // Uniform stats accessors: consistent point-in-time view + reset.

@@ -27,7 +27,6 @@ class TokenBucket {
   // True if a packet of `bytes` conforms; consumes tokens if it does.
   bool allow(std::uint64_t bytes, TimeNs now);
 
-  void set_rate(BwKbps rate_kbps) { rate_kbps_ = rate_kbps; }
   BwKbps rate_kbps() const { return rate_kbps_; }
   std::uint64_t burst_bytes() const { return burst_bytes_; }
   // Currently available tokens in bytes.

@@ -338,6 +338,36 @@ TEST(EerAdmissionTest, RenewalAdjustsAllocation) {
   EXPECT_EQ(eer_allocated(db, segr_key), 900u);
 }
 
+TEST(EerAdmissionTest, RenewingAFleetAtSameDemandLeavesSegrTotals) {
+  // Many EERs over several SegRs, all renewed once at the demand they
+  // hold: each renewal replaces its EER's allocation, so no SegR total
+  // moves and every renewal is granted in full.
+  constexpr ResId kSegrs = 4;
+  constexpr ResId kEers = 64;
+  reservation::ReservationDb db(kSrcA);
+  for (ResId s = 1; s <= kSegrs; ++s) {
+    db.upsert_segr(make_segr(kSrcA, s, 1000, topology::SegType::kUp));
+  }
+  EerAdmission adm;
+  auto request = [](ResId e) {
+    EerAdmission::Request req;
+    req.eer_key = key(kSrcA, 100 + e);
+    req.demand_kbps = 50;
+    req.segr_in = key(kSrcA, 1 + e % kSegrs);
+    return req;
+  };
+  for (ResId e = 0; e < kEers; ++e) {
+    ASSERT_EQ(adm.admit(db, request(e), 0).value(), 50u);
+  }
+  for (ResId e = 0; e < kEers; ++e) {
+    EXPECT_EQ(adm.admit(db, request(e), 16).value(), 50u);
+  }
+  EXPECT_EQ(adm.tracked(), kEers);
+  for (ResId s = 1; s <= kSegrs; ++s) {
+    EXPECT_EQ(eer_allocated(db, key(kSrcA, s)), kEers / kSegrs * 50);
+  }
+}
+
 TEST(EerAdmissionTest, TransferChecksBothSegrs) {
   reservation::ReservationDb db(kSrcA);
   const auto up_key = key(kSrcA, 1);

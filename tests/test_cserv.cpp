@@ -339,6 +339,49 @@ TEST_F(EerTest, TickExpiresEverything) {
   EXPECT_TRUE(session.value().expired());
 }
 
+// A renewal bucket lives exactly as long as the reservation it guards:
+// the sweep that removes a SegR or an EER drops its bucket at every AS.
+TEST_F(EerTest, SweepLeavesNoRenewalBucketBehind) {
+  const AsId src{1, 110}, dst{1, 120};
+  auto session = bed_.daemon(src).open_session(
+      dst, HostAddr::from_u64(1), HostAddr::from_u64(2), 100, 1000);
+  ASSERT_TRUE(session.ok());
+  const auto rec = bed_.cserv(src).db().eer_copy(session.value().key());
+  ASSERT_TRUE(rec.has_value());
+  clock_.advance(13 * kNsPerSec);
+  ASSERT_TRUE(session.value().maybe_renew(4));
+  ASSERT_TRUE(
+      bed_.cserv(src).renew_segr(rec->segrs.front(), 1000, 10'000'000).ok());
+  for (const auto& hop : rec->path) {
+    EXPECT_GE(bed_.cserv(hop.as).rate_limiter().renewal_buckets(), 1u)
+        << hop.as.to_string();
+  }
+
+  clock_.advance(400 * kNsPerSec);  // past every EER and SegR lifetime
+  bed_.tick_all();
+  for (const AsId as : bed_.topology().as_ids()) {
+    EXPECT_EQ(bed_.cserv(as).db().eer_count(), 0u) << as.to_string();
+    EXPECT_EQ(bed_.cserv(as).rate_limiter().renewal_buckets(), 0u)
+        << as.to_string();
+  }
+}
+
+// An AS opens no bucket for an EER it does not store: a transit AS that
+// lost the record admits the renewal like a setup.
+TEST_F(EerTest, RenewalOfUnstoredEerOpensNoBucket) {
+  const AsId src{1, 110}, dst{1, 120}, transit{1, 100};
+  auto session = bed_.daemon(src).open_session(
+      dst, HostAddr::from_u64(1), HostAddr::from_u64(2), 100, 1000);
+  ASSERT_TRUE(session.ok());
+  const ResKey key = session.value().key();
+  ASSERT_TRUE(bed_.cserv(transit).db().erase_eer(key));
+  clock_.advance(13 * kNsPerSec);
+  ASSERT_TRUE(session.value().maybe_renew(4));
+  EXPECT_TRUE(bed_.cserv(transit).db().contains_eer(key));
+  EXPECT_EQ(bed_.cserv(transit).rate_limiter().renewal_buckets(), 0u);
+  EXPECT_EQ(bed_.cserv(src).rate_limiter().renewal_buckets(), 1u);
+}
+
 TEST_F(EerTest, LookupChainsFindsMultiSegmentRoutes) {
   const AsId src{1, 112}, dst{2, 212};
   const auto chains = bed_.cserv(src).lookup_chains(dst);

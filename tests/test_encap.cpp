@@ -1,10 +1,9 @@
 // Tests: intra-domain IPv4/UDP + DSCP encapsulation (App. B) and the
-// TrafficMonitor assembly.
+// §4.8 policing loop from a border router's monitors to its CServ.
 #include <gtest/gtest.h>
 
 #include "colibri/app/testbed.hpp"
 #include "colibri/common/rand.hpp"
-#include "colibri/dataplane/monitor.hpp"
 #include "colibri/proto/codec.hpp"
 #include "colibri/proto/encap.hpp"
 
@@ -116,41 +115,10 @@ TEST(EncapTest, FuzzDecapNeverCrashes) {
 namespace colibri::dataplane {
 namespace {
 
-TEST(TrafficMonitorTest, AttachWiresAllComponents) {
-  SimClock clock(100 * kNsPerSec);
-  drkey::Key128 key;
-  key.bytes.fill(3);
-  BorderRouter router(AsId{1, 1}, key, clock);
-  TrafficMonitor monitor;
-  monitor.attach_to(router);
-
-  // Blocklisted traffic is dropped by the router via the monitor's list.
-  monitor.blocklist().block(AsId{1, 99});
-  FastPacket pkt;
-  pkt.is_eer = true;
-  pkt.num_hops = 2;
-  pkt.resinfo.src_as = AsId{1, 99};
-  pkt.resinfo.exp_time = clock.now_sec() + 100;
-  EXPECT_EQ(router.process(pkt), BorderRouter::Verdict::kBlocked);
-}
-
-TEST(TrafficMonitorTest, PumpDeliversOffensesToSink) {
-  TrafficMonitor monitor;
-  monitor.blocklist().report(OffenseReport{AsId{1, 5}, 7, 123, 1000});
-  monitor.blocklist().report(OffenseReport{AsId{1, 6}, 8, 124, 2000});
-  std::vector<OffenseReport> seen;
-  const size_t n =
-      monitor.pump_reports([&](const OffenseReport& r) { seen.push_back(r); });
-  EXPECT_EQ(n, 2u);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].offender, (AsId{1, 5}));
-  // Drained: a second pump delivers nothing.
-  EXPECT_EQ(monitor.pump_reports([](const OffenseReport&) {}), 0u);
-}
-
-TEST(TrafficMonitorTest, EndToEndPolicingLoop) {
-  // Monitor + router + CServ: overuse is confirmed, reported, and future
-  // reservations from the offender are denied.
+TEST(PolicingTest, EndToEndPolicingLoop) {
+  // OFD, dupsup and blocklist on a router, reporting to its CServ:
+  // overuse is confirmed, reported, and future reservations from the
+  // offender are denied.
   SimClock clock(1000 * kNsPerSec);
   app::Testbed bed(topology::builders::two_isd_topology(), clock);
   bed.provision_all_segments(1000, 2'000'000);
@@ -161,8 +129,12 @@ TEST(TrafficMonitorTest, EndToEndPolicingLoop) {
   ASSERT_TRUE(session.ok());
   const auto rec = bed.cserv(src).db().eer_copy(session.value().key());
 
-  TrafficMonitor monitor;
-  monitor.attach_to(bed.router(transit));
+  OverUseFlowDetector ofd;
+  DuplicateSuppression dupsup;
+  Blocklist blocklist;
+  bed.router(transit).attach_ofd(&ofd);
+  bed.router(transit).attach_dupsup(&dupsup);
+  bed.router(transit).attach_blocklist(&blocklist);
 
   // Overuse: craft valid packets at far above 1 Mbps, replayed into the
   // transit hop (a malicious gateway that skips monitoring).
@@ -199,11 +171,10 @@ TEST(TrafficMonitorTest, EndToEndPolicingLoop) {
   }
   EXPECT_TRUE(blocked);
 
-  // Close the loop through the monitor's report pump.
-  const size_t delivered = monitor.pump_reports([&](const OffenseReport& r) {
-    bed.cserv(transit).report_offense(r);
-  });
-  EXPECT_GE(delivered, 1u);
+  // Close the loop: the router's reports go to the local CServ.
+  const auto reports = blocklist.drain_reports();
+  EXPECT_GE(reports.size(), 1u);
+  for (const auto& r : reports) bed.cserv(transit).report_offense(r);
   EXPECT_TRUE(bed.cserv(transit).reservations_denied_for(src));
 }
 

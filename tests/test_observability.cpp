@@ -8,6 +8,8 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <initializer_list>
 #include <limits>
 #include <map>
@@ -25,6 +27,8 @@
 #include "colibri/telemetry/flight_recorder.hpp"
 #include "colibri/telemetry/metrics.hpp"
 #include "colibri/telemetry/openmetrics.hpp"
+
+#include "../bench/bench_json.hpp"
 
 namespace colibri {
 namespace {
@@ -1209,6 +1213,24 @@ TEST(ObsCliTest, TraceWaterfallForKnownAndUnknownReservation) {
   const std::string out = testing::internal::GetCapturedStdout();
   EXPECT_NE(out.find("res_id=1"), std::string::npos) << out;
   EXPECT_NE(out.find("<-- bottleneck"), std::string::npos) << out;
+}
+
+// BENCH_<name>.json: a repeated row's ops_per_sec is its median
+// repetition, like its p50_ns, not its fastest one.
+TEST(BenchJsonTest, RepeatedRowReportsTheMedianRepetition) {
+  benchjson::JsonWriter writer("bench_json_median_test");
+  for (const double rate : {1e6, 3e6, 2e6}) {
+    writer.add_sample("BM_Repeated", {1e9 / rate, rate});
+  }
+  ASSERT_TRUE(writer.write());
+  const char* path = "BENCH_bench_json_median_test.json";
+  std::stringstream json;
+  json << std::ifstream(path).rdbuf();
+  std::remove(path);
+  EXPECT_NE(json.str().find("\"name\":\"BM_Repeated\",\"ops_per_sec\":2e+06,"
+                            "\"p50_ns\":500,"),
+            std::string::npos)
+      << json.str();
 }
 
 }  // namespace

@@ -10,14 +10,14 @@ namespace colibri::cserv {
 namespace {
 
 TEST(RequestLimiterTest, AllowsBurstThenThrottles) {
-  RequestLimiter limiter(/*rate=*/10.0, /*burst=*/5.0);
+  RequestLimiter<std::uint64_t> limiter(/*rate=*/10.0, /*burst=*/5.0);
   int allowed = 0;
   for (int i = 0; i < 20; ++i) allowed += limiter.allow(1, 0);
   EXPECT_EQ(allowed, 5);  // burst only, no time passed
 }
 
 TEST(RequestLimiterTest, RefillsOverTime) {
-  RequestLimiter limiter(10.0, 5.0);
+  RequestLimiter<std::uint64_t> limiter(10.0, 5.0);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(limiter.allow(1, 0));
   ASSERT_FALSE(limiter.allow(1, 0));
   // 0.5 s -> 5 tokens.
@@ -25,19 +25,10 @@ TEST(RequestLimiterTest, RefillsOverTime) {
 }
 
 TEST(RequestLimiterTest, KeysAreIndependent) {
-  RequestLimiter limiter(1.0, 1.0);
+  RequestLimiter<std::uint64_t> limiter(1.0, 1.0);
   EXPECT_TRUE(limiter.allow(1, 0));
   EXPECT_FALSE(limiter.allow(1, 0));
   EXPECT_TRUE(limiter.allow(2, 0));  // other key unaffected
-}
-
-TEST(RequestLimiterTest, ExpireDropsIdleEntries) {
-  RequestLimiter limiter(1.0, 1.0);
-  limiter.allow(1, 0);
-  limiter.allow(2, 5 * kNsPerSec);
-  EXPECT_EQ(limiter.tracked(), 2u);
-  limiter.expire(6 * kNsPerSec, 2 * kNsPerSec);
-  EXPECT_EQ(limiter.tracked(), 1u);  // key 1 idle > 2 s
 }
 
 TEST(ControlRateLimiterTest, SeparatesRequestAndRenewalBudgets) {
@@ -53,6 +44,39 @@ TEST(ControlRateLimiterTest, SeparatesRequestAndRenewalBudgets) {
   EXPECT_TRUE(limiter.allow_renewal(key, 0));
   EXPECT_FALSE(limiter.allow_renewal(key, 0));  // renewal budget spent
   EXPECT_TRUE(limiter.allow_request(as, 0));    // request budget separate
+}
+
+RateLimitConfig one_renewal_per_sec() {
+  RateLimitConfig cfg;
+  cfg.renewals_per_reservation_per_sec = 1;
+  cfg.renewal_burst = 1;
+  return cfg;
+}
+
+// 196613 = 3 << 16 | 5, so 196613 << 32 flips exactly the ISD bits that
+// tell 1-112 from 2-112: both keys fold to one 64-bit id under
+// src_as ^ (res_id << 32), though they are two reservations with two
+// budgets.
+const ResKey kFoldA{AsId{1, 112}, 5};
+const ResKey kFoldB{AsId{2, 112}, 196613};
+
+TEST(ControlRateLimiterTest, RenewalBucketsAreKeyedByTheWholeResKey) {
+  ControlRateLimiter limiter(one_renewal_per_sec());
+  EXPECT_TRUE(limiter.allow_renewal(kFoldA, 0));
+  EXPECT_TRUE(limiter.allow_renewal(kFoldB, 0));
+  EXPECT_FALSE(limiter.allow_renewal(kFoldA, 0));
+  EXPECT_FALSE(limiter.allow_renewal(kFoldB, 0));
+}
+
+TEST(ControlRateLimiterTest, ForgetDropsOnlyThatReservationsBucket) {
+  ControlRateLimiter limiter(one_renewal_per_sec());
+  ASSERT_TRUE(limiter.allow_renewal(kFoldA, 0));
+  ASSERT_TRUE(limiter.allow_renewal(kFoldB, 0));
+  EXPECT_EQ(limiter.renewal_buckets(), 2u);
+  limiter.forget_reservation(kFoldA);
+  EXPECT_EQ(limiter.renewal_buckets(), 1u);
+  EXPECT_TRUE(limiter.allow_renewal(kFoldA, 0));   // a fresh bucket
+  EXPECT_FALSE(limiter.allow_renewal(kFoldB, 0));  // still spent
 }
 
 SegrAdvert advert(AsId first, AsId last, ResId id, UnixSec exp = 1000,
