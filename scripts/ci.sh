@@ -31,6 +31,11 @@
 # least one test: a renamed or deleted test fails the run instead of
 # quietly dropping out of its gate.
 #
+# The default preset also checks the built data-plane objects for the
+# batch prefetch instructions. GCC deletes a __builtin_prefetch call it
+# deems pure, which once left both batch prefetch stages empty without
+# failing any test; objdump shows whether they exist.
+#
 # Every functional preset (and the tsan race lane) then re-runs the
 # chaos lane by label: the fault-injection, link-failover, and WAL
 # crash-recovery suites carry the `chaos` ctest label (tests/CMakeLists)
@@ -101,6 +106,25 @@ check_gate_names() {
   return "$missing"
 }
 
+# Fails unless each listed function of the data-plane objects in $1
+# holds a software prefetch instruction.
+check_prefetches() {
+  local dir=$1 fn obj body missing=0
+  while read -r fn obj; do
+    body=$(objdump -d -C "$dir/$obj.cpp.o" \
+      | awk -v fn="<colibri::dataplane::$fn(" \
+          'index($0, fn) && /:$/ { on = 1; next } /^$/ { on = 0 } on')
+    if ! grep -Eq 'prefetch(t0|t1|t2|nta)' <<< "$body"; then
+      echo "no prefetch instruction in $fn ($obj.cpp.o)" >&2
+      missing=1
+    fi
+  done <<'LIST'
+DuplicateSuppression::prefetch dupsup
+Gateway::process_batch_chunk gateway
+LIST
+  return "$missing"
+}
+
 for preset in "${PRESETS[@]}"; do
   if [ "$preset" = bench-gate ]; then
     echo "=== [bench-gate] configure + build (default preset)"
@@ -131,6 +155,8 @@ for preset in "${PRESETS[@]}"; do
     continue
   fi
   if [ "$preset" = default ]; then
+    echo "=== [$preset] batch prefetch instructions survive the optimizer"
+    check_prefetches build/src/CMakeFiles/colibri_dataplane.dir/colibri/dataplane
     echo "=== [$preset] name-picked gates: every regex alternative matches a test"
     check_gate_names "$preset" "$TSAN_SUITES" "$DP_PARITY_SUITES" \
       "$CP_WIRE_SUITES"

@@ -18,8 +18,8 @@
 namespace colibri::crypto {
 
 // An expanded AES-128 encryption schedule: 11 round keys of 16 bytes.
-// expand() uses AESKEYGENASSIST when the CPU has AES-NI and the portable
-// expansion otherwise; both produce the same bytes.
+// expand() uses AESENCLAST when the CPU has AES-NI and SSSE3 and the
+// portable expansion otherwise; both produce the same bytes.
 //
 // No default member initializers: the batched router and gateway declare
 // a stack array of schedules per batch and expand each one before use.

@@ -1,5 +1,5 @@
-// AES-NI backend. Compiled with -maes in its own translation unit; the
-// portable code dispatches here after a runtime CPUID check.
+// AES-NI backend. Compiled with -maes -mssse3 in its own translation
+// unit; the portable code dispatches here after a runtime CPUID check.
 #include <cpuid.h>
 #include <immintrin.h>
 #include <wmmintrin.h>
@@ -12,38 +12,41 @@ bool runtime_supported() {
   static const bool supported = [] {
     unsigned eax, ebx, ecx, edx;
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    return (ecx & bit_AES) != 0;
+    // expand_key needs SSSE3's PSHUFB besides the AES instructions.
+    return (ecx & bit_AES) != 0 && (ecx & bit_SSSE3) != 0;
   }();
   return supported;
 }
 
-// AESKEYGENASSIST-based schedule expansion; bit-identical to the
-// portable expansion (asserted by the crypto tests), ~10x faster.
+// Schedule expansion with AESENCLAST instead of AESKEYGENASSIST, whose
+// throughput bounds a chain of ten (Gueron, Intel AES-NI white paper).
+// PSHUFB broadcasts RotWord(w3) to all four columns, so AESENCLAST's
+// ShiftRows is a no-op and it applies SubWord and XORs in the broadcast
+// Rcon; the prefix XOR of w0..w3 finishes the round key. Bit-identical
+// to the portable expansion (asserted by the crypto tests).
 void expand_key(const std::uint8_t key[16], std::uint8_t rk[176]) {
+  const __m128i rot_w3 = _mm_set1_epi32(0x0c0f0e0d);
   auto* out = reinterpret_cast<__m128i*>(rk);
   __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
   _mm_storeu_si128(out, k);
-  const auto step = [&k](__m128i assist) {
-    assist = _mm_shuffle_epi32(assist, _MM_SHUFFLE(3, 3, 3, 3));
+  const auto round = [&](int r, int rcon) {
+    const __m128i t = _mm_aesenclast_si128(_mm_shuffle_epi8(k, rot_w3),
+                                           _mm_set1_epi32(rcon));
     k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-    k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-    k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-    k = _mm_xor_si128(k, assist);
+    k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
+    k = _mm_xor_si128(k, t);
+    _mm_storeu_si128(out + r, k);
   };
-#define COLIBRI_EXPAND_ROUND(r, rcon)                    \
-  step(_mm_aeskeygenassist_si128(k, rcon));              \
-  _mm_storeu_si128(out + (r), k)
-  COLIBRI_EXPAND_ROUND(1, 0x01);
-  COLIBRI_EXPAND_ROUND(2, 0x02);
-  COLIBRI_EXPAND_ROUND(3, 0x04);
-  COLIBRI_EXPAND_ROUND(4, 0x08);
-  COLIBRI_EXPAND_ROUND(5, 0x10);
-  COLIBRI_EXPAND_ROUND(6, 0x20);
-  COLIBRI_EXPAND_ROUND(7, 0x40);
-  COLIBRI_EXPAND_ROUND(8, 0x80);
-  COLIBRI_EXPAND_ROUND(9, 0x1b);
-  COLIBRI_EXPAND_ROUND(10, 0x36);
-#undef COLIBRI_EXPAND_ROUND
+  round(1, 0x01);
+  round(2, 0x02);
+  round(3, 0x04);
+  round(4, 0x08);
+  round(5, 0x10);
+  round(6, 0x20);
+  round(7, 0x40);
+  round(8, 0x80);
+  round(9, 0x1b);
+  round(10, 0x36);
 }
 
 void encrypt_block(const std::uint8_t rk[176], const std::uint8_t in[16],

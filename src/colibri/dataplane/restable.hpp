@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "colibri/dataplane/hvf.hpp"
+#include "colibri/dataplane/prefetch.hpp"
 #include "colibri/dataplane/tokenbucket.hpp"
 #include "colibri/proto/packet.hpp"
 
@@ -49,13 +50,20 @@ class ResTable {
   const GatewayEntry* find(ResId id) const;
   bool erase(ResId id);
 
-  // Software-prefetch the probe start for `id` (key word and slot). The
-  // batched pipeline issues these for the whole batch before the lookup
-  // stage so DRAM latency overlaps across packets.
+  // Software-prefetch the probe start for `id`: its key word and every
+  // cache line of its slot. The gateway's prepare stage reads the header
+  // fields and the token bucket at the slot's far end, and its crypto
+  // stage reads σ_i in between. The batched pipeline issues these for the
+  // whole batch before the lookup stage so DRAM latency overlaps across
+  // packets.
   void prefetch(ResId id) const {
     const size_t i = probe(id);
-    __builtin_prefetch(&keys_[i], 0, 3);
-    __builtin_prefetch(&slots_[i], 0, 1);
+    prefetch_t0(&keys_[i]);
+    const auto* slot = reinterpret_cast<const char*>(&slots_[i]);
+    for (size_t off = 0; off < sizeof(GatewayEntry); off += 64) {
+      prefetch_t0(slot + off);
+    }
+    prefetch_t0(slot + sizeof(GatewayEntry) - 1);
   }
 
   // Visits every live entry as fn(ResId, const GatewayEntry&). Iteration

@@ -223,15 +223,24 @@ TEST(DupSupTest, DistinctTimestampsPass) {
 }
 
 TEST(DupSupTest, RemembersAcrossOneRotation) {
-  DupSupConfig cfg;
-  cfg.window_ns = kNsPerSec;
-  DuplicateSuppression ds(cfg);
-  TimeNs t = 0;
-  EXPECT_EQ(ds.check(kSrcAs, 1, 7, t, t), DuplicateSuppression::Verdict::kFresh);
-  // After one rotation the identifier lives in the previous filter.
-  t = kNsPerSec + 100;
-  EXPECT_EQ(ds.check(kSrcAs, 1, 7, t, t),
-            DuplicateSuppression::Verdict::kDuplicate);
+  // The default filter, and dp_forward's 8 MiB one, whose words are
+  // mapped for huge pages: rotation swaps the two mappings.
+  for (const auto& [bits, hashes] :
+       {std::pair{DupSupConfig{}.bits_per_filter, DupSupConfig{}.hashes},
+        std::pair{size_t{1} << 26, 10}}) {
+    DupSupConfig cfg;
+    cfg.window_ns = kNsPerSec;
+    cfg.bits_per_filter = bits;
+    cfg.hashes = hashes;
+    DuplicateSuppression ds(cfg);
+    TimeNs t = 0;
+    EXPECT_EQ(ds.check(kSrcAs, 1, 7, t, t),
+              DuplicateSuppression::Verdict::kFresh);
+    // After one rotation the identifier lives in the previous filter.
+    t = kNsPerSec + 100;
+    EXPECT_EQ(ds.check(kSrcAs, 1, 7, t, t),
+              DuplicateSuppression::Verdict::kDuplicate);
+  }
 }
 
 TEST(DupSupTest, StalePacketsRejected) {

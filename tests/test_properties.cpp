@@ -3,7 +3,7 @@
 //  - codec round-trip stability under random packets,
 //  - admission no-over-allocation under randomized churn for many seeds,
 //  - token-bucket long-run rate conformance across rates,
-//  - duplicate suppression completeness across window sizes.
+//  - duplicate suppression completeness across window and filter sizes.
 #include <gtest/gtest.h>
 
 #include "colibri/common/rand.hpp"
@@ -204,20 +204,41 @@ INSTANTIATE_TEST_SUITE_P(Rates, BucketRates,
 
 // --- duplicate suppression completeness across window sizes ------------------------
 
-class DupSupWindows : public ::testing::TestWithParam<TimeNs> {};
+// A window, and the filter size and hash count it runs at.
+struct DupSupCase {
+  TimeNs window_ns;
+  size_t bits = dataplane::DupSupConfig{}.bits_per_filter;
+  int hashes = dataplane::DupSupConfig{}.hashes;
+};
+
+// Names the case by its window alone at the default filter size.
+void PrintTo(const DupSupCase& c, std::ostream* os) {
+  *os << c.window_ns;
+  if (c.bits != dataplane::DupSupConfig{}.bits_per_filter ||
+      c.hashes != dataplane::DupSupConfig{}.hashes) {
+    *os << "_" << (c.bits >> 20) << "Mbit_k" << c.hashes;
+  }
+}
+
+class DupSupWindows : public ::testing::TestWithParam<DupSupCase> {};
 
 TEST_P(DupSupWindows, AllReplaysWithinHistoryAreCaught) {
   dataplane::DupSupConfig cfg;
-  cfg.window_ns = GetParam();
+  cfg.window_ns = GetParam().window_ns;
+  cfg.bits_per_filter = GetParam().bits;
+  cfg.hashes = GetParam().hashes;
   dataplane::DuplicateSuppression ds(cfg);
   const AsId src{1, 3};
-  Rng rng(7);
+  // Each check is preceded by its prefetch, as in the router's batch.
+  const auto check = [&](std::uint32_t ts, TimeNs t) {
+    ds.prefetch(src, 1, ts);
+    return ds.check(src, 1, ts, t, t);
+  };
   // Fresh inserts with strictly increasing timestamps.
   std::vector<std::uint32_t> seen;
   TimeNs t = 10 * kNsPerSec;
   for (std::uint32_t ts = 1; ts <= 500; ++ts) {
-    ASSERT_EQ(ds.check(src, 1, ts, t, t),
-              dataplane::DuplicateSuppression::Verdict::kFresh);
+    ASSERT_EQ(check(ts, t), dataplane::DuplicateSuppression::Verdict::kFresh);
     seen.push_back(ts);
     t += cfg.window_ns / 1000;
   }
@@ -225,15 +246,18 @@ TEST_P(DupSupWindows, AllReplaysWithinHistoryAreCaught) {
   // negatives (Bloom filters have no false negatives by construction).
   int caught = 0;
   for (std::uint32_t ts : seen) {
-    const auto v = ds.check(src, 1, ts, t, t);
-    caught += v != dataplane::DuplicateSuppression::Verdict::kFresh;
+    caught += check(ts, t) != dataplane::DuplicateSuppression::Verdict::kFresh;
   }
   EXPECT_EQ(caught, 500);
 }
 
-INSTANTIATE_TEST_SUITE_P(Windows, DupSupWindows,
-                         ::testing::Values(kNsPerSec / 10, kNsPerSec,
-                                           5 * kNsPerSec));
+// The last case is dp_forward's filter (64 Mbit, 10 hashes): 8 MiB, so
+// its words sit on huge pages where the host grants them.
+INSTANTIATE_TEST_SUITE_P(
+    Windows, DupSupWindows,
+    ::testing::Values(DupSupCase{kNsPerSec / 10}, DupSupCase{kNsPerSec},
+                      DupSupCase{5 * kNsPerSec},
+                      DupSupCase{2 * kNsPerSec, size_t{1} << 26, 10}));
 
 }  // namespace
 }  // namespace colibri
